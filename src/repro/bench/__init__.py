@@ -1,30 +1,11 @@
-"""Evaluation harness (S7 in DESIGN.md): calibration, scenarios, sizing."""
+"""Evaluation harness (S7 in DESIGN.md): calibration, trials, sizing.
+
+Scenarios themselves live in :data:`repro.world.scenarios.SCENARIO_SPECS`.
+"""
 
 from .calibration import CostModel, PAPER_RESULTS_MS, PAPER_TABLE2, PAPER_TESTBED
 from .harness import DEFAULT_TRIALS, Measurement, measure, measure_all, run_trials
 from .reporting import format_measurements, format_table2
-from .scenarios import (
-    SCENARIOS,
-    SMALL_SCALE_OVERRIDES,
-    ScenarioOutcome,
-    campus_fanout,
-    churn_backbone,
-    district_sweep,
-    federated_campus,
-    gateway_chain,
-    media_city,
-    metro_backbone,
-    multi_segment_home,
-    native_slp,
-    native_upnp,
-    sharded_backbone,
-    slp_to_jini_gateway,
-    slp_to_upnp_client_side,
-    slp_to_upnp_gateway,
-    slp_to_upnp_service_side,
-    upnp_to_slp_client_side,
-    upnp_to_slp_service_side,
-)
 from .sizing import (
     InteropSizing,
     SizeReport,
@@ -43,20 +24,9 @@ __all__ = [
     "PAPER_RESULTS_MS",
     "PAPER_TABLE2",
     "PAPER_TESTBED",
-    "SCENARIOS",
-    "SMALL_SCALE_OVERRIDES",
-    "ScenarioOutcome",
     "SizeReport",
-    "campus_fanout",
-    "churn_backbone",
     "count_classes",
     "count_ncss",
-    "district_sweep",
-    "federated_campus",
-    "gateway_chain",
-    "media_city",
-    "metro_backbone",
-    "sharded_backbone",
     "format_measurements",
     "format_table2",
     "indiss_size_reports",
@@ -64,14 +34,5 @@ __all__ = [
     "measure",
     "measure_all",
     "measure_path",
-    "multi_segment_home",
-    "native_slp",
-    "native_upnp",
     "run_trials",
-    "slp_to_jini_gateway",
-    "slp_to_upnp_client_side",
-    "slp_to_upnp_gateway",
-    "slp_to_upnp_service_side",
-    "upnp_to_slp_client_side",
-    "upnp_to_slp_service_side",
 ]

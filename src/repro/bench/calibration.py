@@ -99,15 +99,16 @@ class CostModel:
 PAPER_TESTBED = CostModel()
 
 
-#: Paper §4.3 reference numbers (milliseconds), used by reports and the
-#: shape assertions in the benchmarks.
+#: Paper §4.3 reference numbers (milliseconds) keyed by ``SCENARIO_SPECS``
+#: name: Fig. 7 is native_*, Fig. 8 *_service_side, Fig. 9 *_client_side.
+#: Used by reports and the shape assertions in the benchmarks.
 PAPER_RESULTS_MS = {
-    "fig7_native_slp": 0.7,
-    "fig7_native_upnp": 40.0,
-    "fig8_slp_to_upnp_service_side": 65.0,
-    "fig8_upnp_to_slp_service_side": 40.0,
-    "fig9_slp_to_upnp_client_side": 80.0,
-    "fig9_upnp_to_slp_client_side": 0.12,
+    "native_slp": 0.7,
+    "native_upnp": 40.0,
+    "slp_to_upnp_service_side": 65.0,
+    "upnp_to_slp_service_side": 40.0,
+    "slp_to_upnp_client_side": 80.0,
+    "upnp_to_slp_client_side": 0.12,
 }
 
 #: Paper Table 2 reference numbers.

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable
 
+from ..world import WorldSpec, run_world
+from ..world.scenarios import SCENARIO_SPECS
 from .calibration import PAPER_RESULTS_MS
-from .scenarios import SCENARIOS, ScenarioOutcome
 
 #: The paper's trial count.
 DEFAULT_TRIALS = 30
@@ -36,26 +36,27 @@ class Measurement:
 
 
 def run_trials(
-    scenario: Callable[..., ScenarioOutcome],
-    trials: int = DEFAULT_TRIALS,
-    **kwargs,
+    spec: WorldSpec, trials: int = DEFAULT_TRIALS, **run_kwargs
 ) -> list[float]:
-    """Run ``trials`` independent seeded worlds; returns latencies in ms."""
+    """Run ``trials`` independent seeded worlds of ``spec`` (``run_kwargs``
+    go to :func:`~repro.world.run_world`); returns latencies in ms.
+
+    ``World.build`` never mutates a spec, so one spec serves every seed.
+    """
     latencies: list[float] = []
     for seed in range(trials):
-        outcome = scenario(seed=seed, **kwargs)
+        outcome = run_world(spec, seed=seed, **run_kwargs)
         if outcome.latency_ms is None:
             raise RuntimeError(
-                f"scenario {scenario.__name__} produced no answer at seed {seed}"
+                f"scenario {spec.name} produced no answer at seed {seed}"
             )
         latencies.append(outcome.latency_ms)
     return latencies
 
 
-def measure(name: str, trials: int = DEFAULT_TRIALS, **kwargs) -> Measurement:
-    """Measure one registered scenario by name."""
-    scenario = SCENARIOS[name]
-    latencies = run_trials(scenario, trials=trials, **kwargs)
+def measure(name: str, trials: int = DEFAULT_TRIALS, **params) -> Measurement:
+    """Measure one registered scenario by name; ``params`` size its spec."""
+    latencies = run_trials(SCENARIO_SPECS[name](**params), trials=trials)
     return Measurement(
         name=name,
         median_ms=statistics.median(latencies),

@@ -14,6 +14,7 @@ request regardless of traffic rate.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
@@ -108,11 +109,10 @@ class SessionManager:
         self.deduper = RequestDeduper(clock, dedup_window_us)
         self.sessions: list[TranslationSession] = []
         self.stats = SessionStats()
-        #: Overrides the module-global session-id counter.  Partitioned
-        #: topologies mint ids from per-district blocks so every execution
-        #: backend allocates identical ids (see
-        #: :meth:`repro.net.network.Network.session_id_source`).
-        self._session_id_source = session_id_source
+        #: Mints session ids; INDISS passes its network's allocator (see
+        #: :meth:`repro.net.network.Network.session_id_source`), a
+        #: stand-alone manager counts from 1 on its own.
+        self._session_id_source = session_id_source or itertools.count(1).__next__
 
     # -- dedup ---------------------------------------------------------------
 
@@ -151,22 +151,13 @@ class SessionManager:
         request_stream: list[Event],
         on_reply: Callable[[list[Event], TranslationSession], None],
     ) -> TranslationSession:
-        source = self._session_id_source
-        if source is None:
-            session = TranslationSession(
-                origin_sdp=origin_sdp,
-                requester=requester,
-                request_stream=request_stream,
-                created_at_us=self._clock(),
-            )
-        else:
-            session = TranslationSession(
-                origin_sdp=origin_sdp,
-                requester=requester,
-                request_stream=request_stream,
-                created_at_us=self._clock(),
-                session_id=source(),
-            )
+        session = TranslationSession(
+            origin_sdp=origin_sdp,
+            requester=requester,
+            request_stream=request_stream,
+            created_at_us=self._clock(),
+            session_id=self._session_id_source(),
+        )
         session.on_reply = on_reply
         self.sessions.append(session)
         self.stats.opened += 1

@@ -23,7 +23,6 @@ from .errors import (
     PortInUseError,
     SocketClosedError,
 )
-from .faults import FaultEvent, FaultPlan, execute_fault
 from .latency import (
     GilbertElliottLoss,
     LatencyModel,
@@ -78,8 +77,6 @@ __all__ = [
     "shared_decode",
     "Endpoint",
     "EventHandle",
-    "FaultEvent",
-    "FaultPlan",
     "GilbertElliottLoss",
     "LatencyModel",
     "Link",
@@ -105,7 +102,6 @@ __all__ = [
     "UdpStack",
     "classify_payload",
     "edge_seed",
-    "execute_fault",
     "format_trace",
     "make_loss_model",
     "is_multicast",

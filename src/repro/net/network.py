@@ -127,8 +127,10 @@ class Network:
         #: on hand-built networks: all partition semantics stay off and
         #: behaviour is exactly the classic single-district model.
         self._pmap: PartitionMap | None = None
-        #: Per-district session-id counters (only when the frozen map has
-        #: more than one district); see :meth:`session_id_source`.
+        #: Network-wide session-id counter, and per-district counters
+        #: (only when the frozen map has more than one district); see
+        #: :meth:`session_id_source`.
+        self._session_counter = itertools.count(1)
         self._session_counters: list | None = None
         #: Instrumentation bundle (:class:`repro.obs.Recording`).  Defaults
         #: to the shared disabled singleton, so every recording site costs
@@ -592,8 +594,8 @@ class Network:
 
         Multi-district maps also switch session-id allocation to disjoint
         per-district blocks, so the single, inline, and multiprocess
-        backends all mint identical ids (a global counter's values would
-        depend on cross-district interleaving).
+        backends all mint identical ids (a network-wide counter's values
+        would depend on cross-district interleaving).
         """
         self._pmap = pmap
         if pmap.count > 1:
@@ -659,10 +661,11 @@ class Network:
             return self.scheduler
         return engine.shards[self.partition_of_node(node)]
 
-    def session_id_source(self, node: Node) -> Callable[[], int] | None:
-        """Per-district session-id allocator, or ``None`` for the classic
-        global counter (single-district topologies are unchanged).
+    def session_id_source(self, node: Node) -> Callable[[], int]:
+        """The session-id allocator for ``node``'s INDISS instance.
 
+        Single-district topologies share the network-wide counter, which
+        starts at 1; multi-district ones allocate from per-district blocks.
         A host that came back through :meth:`restart_node` allocates from
         its own fresh restart block instead — on any topology — so a
         restarted instance can never mint a pre-crash session id.
@@ -672,9 +675,14 @@ class Network:
             return lambda: next(override)
         counters = self._session_counters
         if counters is None:
-            return None
+            return self.next_session_id
         counter = counters[self.partition_of_node(node)]
         return lambda: next(counter)
+
+    def next_session_id(self) -> int:
+        """Mint an id from the network-wide counter (advertisement
+        sessions always do, whatever the topology)."""
+        return next(self._session_counter)
 
     def node_at(self, address: str) -> Optional[Node]:
         return self._nodes.get(address)

@@ -638,7 +638,10 @@ class SlpUnit(Unit):
         ]
         for name, value in record.attributes.items():
             events.append(Event.of(SDP_RES_ATTR, name=name, value=value))
-        session = TranslationSession(origin_sdp="slp", requester=None)
+        session = TranslationSession(
+            origin_sdp="slp", requester=None,
+            session_id=self.runtime.node.network.next_session_id(),
+        )
         for message in self.composer.compose(bracket(events, sdp="slp"), session):
             if message.decode_hint is not None:
                 self.parse_counter.note_seed()

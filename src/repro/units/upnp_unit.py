@@ -664,7 +664,10 @@ class UpnpUnit(Unit):
         if cached is not None and cached[0] == fingerprint:
             message = cached[1]
         else:
-            session = TranslationSession(origin_sdp="upnp", requester=None)
+            session = TranslationSession(
+                origin_sdp="upnp", requester=None,
+                session_id=self.runtime.node.network.next_session_id(),
+            )
             session.vars["export_location"] = self.exporter.export(
                 record, session.session_id
             )

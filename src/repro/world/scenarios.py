@@ -13,10 +13,12 @@ legacy hand-rolled builders constructed them — the golden-parity tests in
 ``tests/world`` assert the compiled worlds fire identical event
 schedules.
 
-``SCENARIO_SPECS`` maps scenario names to their (parameterized) spec
-builders; ``repro.bench.scenarios`` wraps them into the classic
-callable-per-scenario registry, and ``python -m repro.world`` validates
-and describes them without running anything.
+``SCENARIO_SPECS`` is the one registry of named scenarios: it maps each
+name to its (parameterized) spec builder.  Run a scenario with
+``run_world(SCENARIO_SPECS[name](**params), seed=...)``; the trial
+harness (:mod:`repro.bench.harness`) and the benchmarks do exactly that,
+and ``python -m repro.world`` validates and describes the specs without
+running anything.
 """
 
 from __future__ import annotations

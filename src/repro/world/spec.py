@@ -536,7 +536,7 @@ class Crash:
     the fleet's failure detector (or never, if the detector is unarmed).
 
     Applied at a barrier-synchronized step boundary, so it is legal under
-    the partitioned engine (unlike ``FaultPlan`` self-scheduling).
+    the partitioned engine.
     """
 
     host: str

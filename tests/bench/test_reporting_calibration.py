@@ -12,17 +12,18 @@ from repro.bench import (
     indiss_size_reports,
     interop_sizing,
 )
+from repro.world.scenarios import SCENARIO_SPECS
 
 
 class TestFormatMeasurements:
     def test_renders_all_rows(self):
         measurements = [
-            Measurement("fig7_native_slp", 0.7, 0.6, 0.8, 30, 0.7),
+            Measurement("native_slp", 0.7, 0.6, 0.8, 30, 0.7),
             Measurement("custom_scenario", 5.0, 4.0, 6.0, 30, None),
         ]
         text = format_measurements(measurements, "Title")
         assert "Title" in text
-        assert "fig7_native_slp" in text
+        assert "native_slp" in text
         assert "1.00x" in text
         assert "custom_scenario" in text
         assert text.count("\n") >= 4
@@ -45,13 +46,14 @@ class TestFormatTable2:
 class TestCalibration:
     def test_paper_references_complete(self):
         assert set(PAPER_RESULTS_MS) == {
-            "fig7_native_slp",
-            "fig7_native_upnp",
-            "fig8_slp_to_upnp_service_side",
-            "fig8_upnp_to_slp_service_side",
-            "fig9_slp_to_upnp_client_side",
-            "fig9_upnp_to_slp_client_side",
+            "native_slp",
+            "native_upnp",
+            "slp_to_upnp_service_side",
+            "upnp_to_slp_service_side",
+            "slp_to_upnp_client_side",
+            "upnp_to_slp_client_side",
         }
+        assert set(PAPER_RESULTS_MS) <= set(SCENARIO_SPECS)
 
     def test_latency_model_uses_paper_bandwidth(self):
         model = PAPER_TESTBED.latency_model(seed=1)

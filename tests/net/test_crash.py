@@ -10,14 +10,7 @@ so no id is ever reused across the crash.
 
 import pytest
 
-from repro.net import (
-    Endpoint,
-    FaultEvent,
-    FaultPlan,
-    LatencyModel,
-    Network,
-    NetworkError,
-)
+from repro.net import Endpoint, LatencyModel, Network, NetworkError
 from repro.net.network import RESTART_SESSION_BLOCK, SESSION_ID_BLOCK
 
 
@@ -111,7 +104,7 @@ def test_restart_mints_fresh_session_block():
     pre-crash id, and ordered by restart ordinal on every engine."""
     net = make_net()
     a, b = net.add_node("a"), net.add_node("b")
-    assert net.session_id_source(a) is None  # classic global counter
+    assert net.session_id_source(a)() == 1  # the network-wide counter
     net.crash_node(a)
     net.restart_node(a)
     source = net.session_id_source(a)
@@ -122,20 +115,24 @@ def test_restart_mints_fresh_session_block():
     assert net.session_id_source(b)() == (RESTART_SESSION_BLOCK + 2) * SESSION_ID_BLOCK
     # The non-restarted path is untouched by someone else's restart.
     c = net.add_node("c")
-    assert net.session_id_source(c) is None
+    assert net.session_id_source(c)() == 2
 
 
-def test_fault_event_crash_requires_host():
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="crash")
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="restart")
-    FaultEvent(at_us=0, action="crash", host="192.168.1.1")  # must not raise
+def test_session_id_counter_is_per_network():
+    """Each single-district network counts session ids from 1 on its own:
+    no counter is shared across networks, so a run never depends on the
+    worlds built before it in the same process."""
+    first, second = make_net(), make_net()
+    a, b = first.add_node("a"), second.add_node("b")
+    assert [first.session_id_source(a)() for _ in range(3)] == [1, 2, 3]
+    assert second.session_id_source(b)() == 1
+    # Advertisement sessions draw from the same network-wide counter.
+    assert first.next_session_id() == 4
 
 
-def test_fault_plan_crash_and_restart():
-    """A timed plan crash-stops the host mid-run and brings it back with
-    empty stacks: deliveries stop at the crash and the application must
+def test_timed_crash_and_restart():
+    """A timed crash-stop takes the host down mid-run and a timed restart
+    brings it back with empty stacks: deliveries stop at the crash and the application must
     re-bind to receive again (volatile state is genuinely lost)."""
     net = make_net()
     sender, victim = net.add_node("sender"), net.add_node("victim")
@@ -149,13 +146,10 @@ def test_fault_plan_crash_and_restart():
             ms * 1_000,
             lambda: sock.sendto(b"tick", Endpoint(victim.address, 5000)),
         )
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=2_500, action="crash", host=victim.address),
-        FaultEvent(at_us=6_500, action="restart", host=victim.address),
-    ))
-    plan.schedule(net)
+    net.enable_faults()
+    sender.schedule(2_500, lambda: net.crash_node(victim))
+    sender.schedule(6_500, lambda: net.restart_node(victim))
     net.run()
-    assert plan.executed == [(2_500, "crash"), (6_500, "restart")]
     # Only pre-crash ticks landed; the restarted host has no socket bound.
     assert got and all(t < 2_500 for t in got)
     assert not net.is_crashed(victim)
@@ -172,8 +166,8 @@ def test_fault_plan_crash_and_restart():
 
 
 def test_armed_but_unfired_crash_is_bit_identical():
-    """Arming the adversity layer with a crash plan that never fires (the
-    run ends first) must not move a single delivery timestamp."""
+    """Arming the adversity layer with a crash that never fires (the run
+    ends first) must not move a single delivery timestamp."""
     def drive(armed: bool):
         net = make_net()
         a, b = net.add_node("a"), net.add_node("b")
@@ -183,10 +177,8 @@ def test_armed_but_unfired_crash_is_bit_identical():
         )
         sock = a.udp.socket().bind(6000)
         if armed:
-            plan = FaultPlan(events=(
-                FaultEvent(at_us=50_000, action="crash", host=b.address),
-            ))
-            plan.schedule(net)
+            net.enable_faults()
+            a.schedule(50_000, lambda: net.crash_node(b))
         for ms in range(5):
             a.schedule(
                 ms * 1_000,

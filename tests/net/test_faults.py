@@ -1,5 +1,5 @@
 """The adversity layer's net primitives: seeded loss models, link state
-and reroute, in-flight drops, and timed fault plans.
+and reroute, in-flight drops, and timed faults.
 
 Everything here must be deterministic (dedicated per-edge RNG streams) and
 strictly opt-in: an armed-but-lossless network behaves observably like an
@@ -10,8 +10,6 @@ import pytest
 
 from repro.net import (
     Endpoint,
-    FaultEvent,
-    FaultPlan,
     GilbertElliottLoss,
     LossModel,
     Network,
@@ -19,6 +17,8 @@ from repro.net import (
     edge_seed,
     make_loss_model,
 )
+from repro.world import World
+from repro.world.scenarios import district_grid_spec
 
 
 def triangle():
@@ -241,35 +241,27 @@ def test_same_seed_same_drop_pattern_end_to_end():
     assert patterns[0] == patterns[1]
 
 
-# -- fault plans ------------------------------------------------------------------
+# -- timed faults -----------------------------------------------------------------
 
 
-def test_fault_plan_executes_scheduled_actions_in_order():
+def test_timed_cut_and_heal_apply_in_order():
     net, src, dst = triangle()
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=50_000, action="heal", link=("segA", "segC")),
-        FaultEvent(at_us=10_000, action="cut", link=("segA", "segC")),
-    ))
-    plan.schedule(net)
+    net.enable_faults()
+    src.schedule(50_000, lambda: net.heal_link("segA", "segC"))
+    src.schedule(10_000, lambda: net.cut_link("segA", "segC"))
     net.run(duration_us=20_000)
     assert not net.router.link_is_up("segA", "segC")
     net.run(duration_us=40_000)
     assert net.router.link_is_up("segA", "segC")
-    assert plan.executed == [(10_000, "cut"), (50_000, "heal")]
 
 
-def test_fault_plan_degrade_and_clear():
+def test_timed_degrade_and_clear():
     net, src, dst = triangle()
-    plan = FaultPlan(
-        events=(
-            FaultEvent(
-                at_us=1_000, action="degrade", link=("segA", "segC"), rate=0.4
-            ),
-            FaultEvent(at_us=500_000, action="clear", link=("segA", "segC")),
-        ),
-        seed=5,
-    )
-    plan.schedule(net)
+    net.enable_faults()
+    src.schedule(1_000, lambda: net.set_link_loss(
+        "segA", "segC", make_loss_model("bernoulli", 0.4, 5, "segA-segC")
+    ))
+    src.schedule(500_000, lambda: net.set_link_loss("segA", "segC", None))
     got = sink_on(net, dst, 5008)
     tx = src.udp.socket()
 
@@ -287,20 +279,14 @@ def test_fault_plan_degrade_and_clear():
     assert len(got) == lossy_phase + 50  # cleared: every frame arrives
 
 
-def test_fault_event_validation():
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="explode", link=("a", "b"))
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="cut")  # cut needs a link
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="degrade", link=("a", "b"), rate=1.0)
-
-
-def test_fault_plan_refuses_past_events():
-    net, _, _ = triangle()
-    net.run(duration_us=10_000)
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=5_000, action="cut", link=("segA", "segC")),
-    ))
-    with pytest.raises(NetworkError):
-        plan.schedule(net)
+def test_partitioned_engine_refuses_unreproducible_loss():
+    """Under the partitioned engine faults arrive as workload steps at
+    barrier-synchronized boundaries, and the network refuses any loss
+    model whose drop draws would cross districts."""
+    net = World.build(
+        district_grid_spec(districts=2, leaves_per_district=1),
+        engine="partitioned",
+    ).net
+    with pytest.raises(NetworkError, match="cross-district"):
+        net.set_link_loss("lan0", "grid1", LossModel(0.1, seed=1))
+    net.set_link_loss("g0l0", "lan0", LossModel(0.1, seed=1))  # intra-district

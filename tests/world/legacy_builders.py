@@ -1,7 +1,7 @@
 """FROZEN copy of the pre-redesign imperative scenario builders.
 
 This is the golden oracle for the World API parity tests: the exact
-``src/repro/bench/scenarios.py`` the repo shipped before scenarios became
+imperative scenario module the repo shipped before scenarios became
 spec-built (commit db3487a), with imports rewritten to absolute form.  Do
 not refactor or \"fix\" this file -- its value is that it does not change.
 """

@@ -85,6 +85,10 @@ class TestSpecValidation:
     def test_degrade_rate_and_model_checked(self):
         with pytest.raises(SpecError, match="not in"):
             adversity_spec((Fault("degrade", segment="spare", rate=1.0),)).validate()
+        with pytest.raises(SpecError, match="not in"):
+            adversity_spec(
+                (Fault("degrade", link=("left", "lan0"), rate=1.0),)
+            ).validate()
         with pytest.raises(SpecError, match="unknown loss model"):
             adversity_spec(
                 (Fault("degrade", segment="spare", rate=0.1, model="fog"),)

@@ -8,27 +8,17 @@ perturbing it, and the per-district timelines merged from forked
 workers must equal the inline timeline record for record.
 """
 
-import itertools
 import re
 
 import pytest
 
-import repro.core.session as session_module
 from repro.world import World, run_world, run_world_mp
 from repro.world.engine import run_world_partitioned
-from repro.world.scenarios import district_grid_spec, metro_backbone_spec
 
-GRID_PARAMS = {"districts": 3, "leaves_per_district": 2, "run_us": 2_000_000}
-METRO_PARAMS = {"districts": 2, "leaves_per_district": 3, "nodes": 300,
-                "chatter_per_leaf": 2, "run_us": 2_500_000}
+from ..small_scale import small_spec
 
 #: Extras keys that only exist on recorded runs (percentiles from rows).
 _LATENCY_KEY = re.compile(r"_latency_(count|p\d+_us)$")
-
-
-def _run(spec, seed, engine, record=False):
-    session_module._session_ids = itertools.count(1)
-    return run_world(spec, seed=seed, engine=engine, record=record)
 
 
 def _strip_latency_keys(extras: dict) -> dict:
@@ -47,22 +37,22 @@ def _signature(outcome):
 
 class TestRecordingIsTransparent:
     def test_outcome_metrics_absent_when_off(self):
-        outcome = _run(metro_backbone_spec(**METRO_PARAMS), 0, "single")
+        outcome = run_world(small_spec("metro_backbone"), seed=0, engine="single")
         assert outcome.metrics is None
         assert not any(_LATENCY_KEY.search(k) for k in outcome.extras)
 
     def test_recording_does_not_perturb_the_schedule(self):
-        spec = metro_backbone_spec(**METRO_PARAMS)
-        plain = _run(spec, 0, "single")
-        recorded = _run(spec, 0, "single", record=True)
+        spec = small_spec("metro_backbone")
+        plain = run_world(spec, seed=0, engine="single")
+        recorded = run_world(spec, seed=0, engine="single", record=True)
         sig_plain = _signature(plain)
         sig_recorded = _signature(recorded)
         sig_recorded["extras"] = _strip_latency_keys(sig_recorded["extras"])
         assert sig_recorded == sig_plain
 
     def test_chatter_percentiles_appear_only_when_recorded(self):
-        spec = metro_backbone_spec(**METRO_PARAMS)
-        recorded = _run(spec, 0, "single", record=True)
+        spec = small_spec("metro_backbone")
+        recorded = run_world(spec, seed=0, engine="single", record=True)
         assert recorded.extras["chatter_latency_count"] > 0
         p50 = recorded.extras["chatter_latency_p50_us"]
         p99 = recorded.extras["chatter_latency_p99_us"]
@@ -72,8 +62,7 @@ class TestRecordingIsTransparent:
 class TestRecordedRunContents:
     @pytest.fixture(scope="class")
     def recorded(self):
-        spec = metro_backbone_spec(**METRO_PARAMS)
-        session_module._session_ids = itertools.count(1)
+        spec = small_spec("metro_backbone")
         world = World.build(spec, record=True)
         world.run_workload()
         return world, world.outcome()
@@ -119,9 +108,9 @@ class TestRecordedRunContents:
 
 class TestRecordedEngineParity:
     def test_single_vs_partitioned_bit_identical(self):
-        spec = district_grid_spec(**GRID_PARAMS)
-        single = _run(spec, 0, "single", record=True)
-        sharded = _run(spec, 0, "partitioned", record=True)
+        spec = small_spec("district_grid")
+        single = run_world(spec, seed=0, engine="single", record=True)
+        sharded = run_world(spec, seed=0, engine="partitioned", record=True)
         assert _signature(sharded) == _signature(single)
         # Simulation-level counters and histograms are engine-independent.
         # The engine's own self-description is engine-specific by design:
@@ -141,8 +130,7 @@ class TestRecordedEngineParity:
                        for k in single.metrics["counters"])
 
     def test_engine_timeline_has_window_and_stall_spans(self):
-        spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
+        spec = small_spec("district_grid")
         world = World.build(spec, engine="partitioned", record=True)
         world.run_workload()
         records = world.recording.trace.records
@@ -156,10 +144,8 @@ class TestRecordedEngineParity:
     def test_multiprocess_timeline_merges_exactly(self):
         """The ISSUE's hardest acceptance line: forked per-district
         workers, recording on, merged timelines == inline, bit for bit."""
-        spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
+        spec = small_spec("district_grid")
         inline = run_world_partitioned(spec, seed=0, record=True)
-        session_module._session_ids = itertools.count(1)
         mp = run_world_mp(spec, seed=0, record=True)
         assert mp["backend"] == "multiprocess"
         for key in ("partitions", "lookahead_us", "events_fired",
@@ -174,8 +160,7 @@ class TestRecordedEngineParity:
         assert any(r["name"] == "engine.window" for r in mp["obs"]["spans"])
 
     def test_mp_without_recording_has_no_obs(self):
-        spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
+        spec = small_spec("district_grid")
         assert run_world_partitioned(spec, seed=0)["obs"] is None
 
 
@@ -184,7 +169,6 @@ class TestRunCli:
         from repro.world.__main__ import main
 
         monkeypatch.chdir(tmp_path)
-        session_module._session_ids = itertools.count(1)
         code = main(["prog", "run", "slp_to_upnp_gateway",
                      "--trace", "--metrics"])
         assert code == 0
@@ -207,6 +191,5 @@ class TestRunCli:
         from repro.world.__main__ import main
 
         monkeypatch.chdir(tmp_path)
-        session_module._session_ids = itertools.count(1)
         assert main(["prog", "run", "slp_to_upnp_gateway"]) == 0
         assert list(tmp_path.iterdir()) == []

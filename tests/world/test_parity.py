@@ -1,6 +1,6 @@
 """Golden parity: spec-built scenarios == the frozen imperative builders.
 
-Every legacy ``SCENARIOS`` entry is now compiled from a
+Every scenario of the legacy registry is now compiled from a
 :class:`~repro.world.WorldSpec`.  These tests run each one side by side
 with the frozen pre-redesign builder (``legacy_builders.py``) and assert
 the outcomes are identical:
@@ -12,33 +12,47 @@ the outcomes are identical:
 * the extras carry the same key set (the observer pipeline reproduces
   every measurement the hand-rolled stat plumbing made).
 
-The scale scenarios run under the repo's SMALL_SCALE_OVERRIDES so tier-1
-stays fast.
+The scale scenarios run at the test suite's small scale so tier-1 stays
+fast.
 """
-
-import itertools
 
 import pytest
 
-import repro.core.session as session_module
-from repro.bench.scenarios import SCENARIOS, SMALL_SCALE_OVERRIDES
+from repro.world import run_world
+from repro.world.scenarios import upnp_to_slp_client_side_spec
 
+from ..small_scale import SMALL_SCALE_OVERRIDES, small_spec
 from . import legacy_builders
 
 LEGACY = legacy_builders.SCENARIOS
 
+#: Legacy registry name -> ``SCENARIO_SPECS`` name.
+SPEC_NAME = {
+    "fig7_native_slp": "native_slp",
+    "fig7_native_upnp": "native_upnp",
+    "fig8_slp_to_upnp_service_side": "slp_to_upnp_service_side",
+    "fig8_upnp_to_slp_service_side": "upnp_to_slp_service_side",
+    "fig9_slp_to_upnp_client_side": "slp_to_upnp_client_side",
+    "fig9_upnp_to_slp_client_side": "upnp_to_slp_client_side",
+    "gateway_slp_to_upnp": "slp_to_upnp_gateway",
+    "gateway_slp_to_jini": "slp_to_jini_gateway",
+    "multi_segment_home": "multi_segment_home",
+    "gateway_chain": "gateway_chain",
+    "campus_fanout": "campus_fanout",
+    "federated_campus": "federated_campus",
+    "sharded_backbone": "sharded_backbone",
+    "metro_backbone": "metro_backbone",
+    "media_city": "media_city",
+}
 
-def _run(fn, **kwargs):
-    """Run one scenario with the process-global session-id counter reset.
 
-    Session ids leak into wire payloads (translated USNs and export
-    paths), so payload *lengths* — and with them serialization delays —
-    depend on how many sessions earlier tests burned.  Resetting the
-    counter gives the legacy oracle and the spec-built world the same
-    environment, which is the property under test.
-    """
-    session_module._session_ids = itertools.count(1)
-    return fn(**kwargs)
+def _pair(name, seed, **params):
+    """The legacy and the spec-built outcome of one scenario."""
+    spec_name = SPEC_NAME[name]
+    legacy = LEGACY[name](
+        seed=seed, **{**SMALL_SCALE_OVERRIDES.get(spec_name, {}), **params}
+    )
+    return legacy, run_world(small_spec(spec_name, **params), seed=seed)
 
 
 def _outcome_signature(outcome):
@@ -54,33 +68,27 @@ def _outcome_signature(outcome):
 
 @pytest.mark.parametrize("name", sorted(LEGACY))
 def test_spec_built_scenario_matches_legacy_builder(name):
-    kwargs = SMALL_SCALE_OVERRIDES.get(name, {})
-    legacy = _run(LEGACY[name], seed=0, **kwargs)
-    modern = _run(SCENARIOS[name], seed=0, **kwargs)
+    legacy, modern = _pair(name, seed=0)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 @pytest.mark.parametrize("name", ["fig7_native_upnp", "multi_segment_home"])
 def test_parity_holds_across_seeds(name):
-    kwargs = SMALL_SCALE_OVERRIDES.get(name, {})
     for seed in (1, 4):
-        legacy = _run(LEGACY[name], seed=seed, **kwargs)
-        modern = _run(SCENARIOS[name], seed=seed, **kwargs)
+        legacy, modern = _pair(name, seed=seed)
         assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 def test_warm_cache_off_variant_matches():
-    legacy = _run(LEGACY["fig9_upnp_to_slp_client_side"], seed=2, warm_cache=False)
-    modern = _run(SCENARIOS["fig9_upnp_to_slp_client_side"], seed=2, warm_cache=False)
+    legacy = LEGACY["fig9_upnp_to_slp_client_side"](seed=2, warm_cache=False)
+    modern = run_world(upnp_to_slp_client_side_spec(warm_cache=False), seed=2)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 def test_federated_campus_extras_values_match():
     """Beyond key-set parity: the federation family's measured values are
     what downstream tests assert on, so they must match exactly too."""
-    kwargs = {"segments": 5, "nodes": 60}
-    legacy = _run(LEGACY["federated_campus"], seed=0, **kwargs)
-    modern = _run(SCENARIOS["federated_campus"], seed=0, **kwargs)
+    legacy, modern = _pair("federated_campus", seed=0, segments=5, nodes=60)
     for key in (
         "warm_members_after_gossip",
         "query_translations",
@@ -95,9 +103,9 @@ def test_federated_campus_extras_values_match():
 
 
 def test_sharded_backbone_per_type_matches():
-    kwargs = {"members": 4, "nodes": 80, "service_types": 4}
-    legacy = _run(LEGACY["sharded_backbone"], seed=0, **kwargs)
-    modern = _run(SCENARIOS["sharded_backbone"], seed=0, **kwargs)
+    legacy, modern = _pair(
+        "sharded_backbone", seed=0, members=4, nodes=80, service_types=4
+    )
     assert modern.extras["per_type"] == legacy.extras["per_type"]
     assert modern.extras["owner_spread"] == legacy.extras["owner_spread"]
     assert modern.extras["query_translations"] == legacy.extras["query_translations"]

@@ -10,54 +10,24 @@ conservative-lookahead windows and cross-district frame batches actually
 engage.
 """
 
-import itertools
-
 import pytest
 
-import repro.core.session as session_module
 from repro.world import SpecError, World, run_world, run_world_mp, spec_partition_map
 from repro.world.engine import run_world_partitioned
-from repro.world.scenarios import (
-    churn_backbone_spec,
-    district_grid_spec,
-    media_city_spec,
-    metro_backbone_spec,
-    serving_grid_spec,
+from repro.world.scenarios import district_grid_spec, serving_grid_spec
+
+from ..small_scale import small_spec
+
+SCALE_WORLDS = (
+    "churn_backbone", "district_grid", "media_city", "metro_backbone",
+    "serving_grid",
 )
-
-#: Small-scale parameters (mirroring SMALL_SCALE_OVERRIDES) so tier-1 stays fast.
-SCALE = {
-    "metro_backbone": (
-        metro_backbone_spec,
-        {"districts": 2, "leaves_per_district": 3, "nodes": 300,
-         "chatter_per_leaf": 2, "run_us": 2_500_000},
-    ),
-    "media_city": (
-        media_city_spec,
-        {"districts": 2, "leaves_per_district": 3, "nodes": 250,
-         "devices_per_leaf": 3, "cp_per_leaf": 2, "run_us": 2_000_000},
-    ),
-    "churn_backbone": (
-        churn_backbone_spec,
-        {"members": 3, "nodes": 80, "service_types": 2, "churn_cycles": 2},
-    ),
-    "district_grid": (
-        district_grid_spec,
-        {"districts": 3, "leaves_per_district": 2, "run_us": 2_000_000},
-    ),
-    "serving_grid": (
-        serving_grid_spec,
-        {"districts": 3, "leaves_per_district": 2, "clients_per_leaf": 1,
-         "queries_per_client": 8, "run_us": 2_000_000},
-    ),
+#: The serving grid runs one district more than the shared small scale,
+#: so the engines shard it three ways.
+ENGINE_OVERRIDES = {
+    "serving_grid": {"districts": 3, "leaves_per_district": 2,
+                     "clients_per_leaf": 1, "queries_per_client": 8},
 }
-
-
-def _run(spec, seed, engine):
-    """One engine run with the process-global session counter reset, so
-    both engines mint identical wire payloads (see test_parity._run)."""
-    session_module._session_ids = itertools.count(1)
-    return run_world(spec, seed=seed, engine=engine)
 
 
 def _signature(outcome):
@@ -70,13 +40,12 @@ def _signature(outcome):
     }
 
 
-@pytest.mark.parametrize("name", sorted(SCALE))
+@pytest.mark.parametrize("name", SCALE_WORLDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_partitioned_engine_matches_single_oracle(name, seed):
-    builder, params = SCALE[name]
-    spec = builder(**params)
-    single = _run(spec, seed, "single")
-    sharded = _run(spec, seed, "partitioned")
+    spec = small_spec(name, **ENGINE_OVERRIDES.get(name, {}))
+    single = run_world(spec, seed=seed, engine="single")
+    sharded = run_world(spec, seed=seed, engine="partitioned")
     assert _signature(sharded) == _signature(single)
 
 
@@ -98,17 +67,14 @@ def test_district_grid_actually_shards():
 
 def test_catalog_scale_worlds_collapse_to_one_district():
     for name in ("metro_backbone", "media_city", "churn_backbone"):
-        builder, params = SCALE[name]
-        pmap, _ = spec_partition_map(builder(**params))
+        pmap, _ = spec_partition_map(small_spec(name))
         assert pmap.count == 1, f"{name} unexpectedly multi-district"
 
 
 def test_multiprocess_backend_matches_inline():
     spec = district_grid_spec(districts=3, leaves_per_district=2,
                               run_us=2_000_000)
-    session_module._session_ids = itertools.count(1)
     inline = run_world_partitioned(spec, seed=0)
-    session_module._session_ids = itertools.count(1)
     mp = run_world_mp(spec, seed=0)
     assert mp["backend"] == "multiprocess"
     assert mp["processes"] == 3
@@ -127,9 +93,7 @@ def test_multiprocess_backend_matches_inline_for_serving():
     spec = serving_grid_spec(districts=3, leaves_per_district=2,
                              clients_per_leaf=1, queries_per_client=8,
                              run_us=2_000_000)
-    session_module._session_ids = itertools.count(1)
     inline = run_world_partitioned(spec, seed=0)
-    session_module._session_ids = itertools.count(1)
     mp = run_world_mp(spec, seed=0)
     assert mp["backend"] == "multiprocess"
     assert mp["processes"] == 3
@@ -143,9 +107,7 @@ def test_multiprocess_backend_matches_inline_for_serving():
 
 
 def test_mp_driver_falls_back_inline_for_single_district():
-    builder, params = SCALE["churn_backbone"]
-    session_module._session_ids = itertools.count(1)
-    result = run_world_mp(builder(**params), seed=0)
+    result = run_world_mp(small_spec("churn_backbone"), seed=0)
     assert result["backend"] == "inline"
     assert result["partitions"] == 1
 
@@ -154,10 +116,9 @@ def test_churn_under_partitioned_engine_matches_single():
     """Detach/reattach cycles (fleet churn) with the engine bound: the
     reattach path must restore per-partition placement and caches, and
     the run must stay bit-identical to the single wheel's."""
-    builder, params = SCALE["churn_backbone"]
-    spec = builder(**params)
-    single = _run(spec, 0, "single")
-    sharded = _run(spec, 0, "partitioned")
+    spec = small_spec("churn_backbone")
+    single = run_world(spec, seed=0, engine="single")
+    sharded = run_world(spec, seed=0, engine="partitioned")
     assert sharded.extras["churn_rejoins"] == single.extras["churn_rejoins"] > 0
     assert _signature(sharded) == _signature(single)
 
