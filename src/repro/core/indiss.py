@@ -182,7 +182,10 @@ class Indiss:
 
     @property
     def sessions(self) -> list[TranslationSession]:
-        return self.session_manager.sessions
+        """The most recently opened sessions (at most
+        :data:`~repro.core.sessions.RECENT_SESSIONS`), oldest first; open
+        sessions are tracked exactly in ``session_manager.open_sessions``."""
+        return list(self.session_manager.recent)
 
     # -- unit lifecycle (Fig. 5 dynamic composition) --------------------------
 
@@ -491,7 +494,7 @@ class Indiss:
         return ""
 
     def _deliver_reply(self, reply_stream: list[Event], session: TranslationSession) -> None:
-        self.session_manager.record_completed()
+        self.session_manager.record_completed(session)
         if self.node.network.obs.on:
             self._obs_session_done(session, reply_stream)
         origin_unit = self.units.get(session.origin_sdp)

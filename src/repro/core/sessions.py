@@ -10,6 +10,11 @@ Duplicate suppression used to rebuild the whole recent-request dict on
 every incoming request (O(n) on the hot path); :class:`RequestDeduper`
 replaces that with a monotonic deque and lazy expiry — O(1) amortized per
 request regardless of traffic rate.
+
+What a manager keeps is bounded by the world, not by the run length:
+open sessions are tracked exactly until they complete, and finished ones
+survive only in a short ring of recent sessions (:data:`RECENT_SESSIONS`)
+kept for the Fig. 4 step log.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ from typing import Callable, Hashable, Optional
 from ..net import Endpoint
 from .events import Event
 from .session import TranslationSession
+
+#: How many of the most recently opened sessions :attr:`SessionManager.recent`
+#: keeps, completed or not, for inspecting their step logs.
+RECENT_SESSIONS = 8
 
 
 @dataclass
@@ -107,7 +116,11 @@ class SessionManager:
         self._clock = clock
         self.dedup_scope = dedup_scope
         self.deduper = RequestDeduper(clock, dedup_window_us)
-        self.sessions: list[TranslationSession] = []
+        #: Sessions not yet completed, by session id; a session leaves when
+        #: its reply is delivered (:meth:`record_completed`).
+        self.open_sessions: dict[int, TranslationSession] = {}
+        #: The last :data:`RECENT_SESSIONS` sessions opened, oldest first.
+        self.recent: deque[TranslationSession] = deque(maxlen=RECENT_SESSIONS)
         self.stats = SessionStats()
         #: Mints session ids; INDISS passes its network's allocator (see
         #: :meth:`repro.net.network.Network.session_id_source`), a
@@ -159,11 +172,13 @@ class SessionManager:
             session_id=self._session_id_source(),
         )
         session.on_reply = on_reply
-        self.sessions.append(session)
+        self.open_sessions[session.session_id] = session
+        self.recent.append(session)
         self.stats.opened += 1
         return session
 
-    def record_completed(self) -> None:
+    def record_completed(self, session: TranslationSession) -> None:
+        self.open_sessions.pop(session.session_id, None)
         self.stats.completed += 1
 
     def record_translated(self) -> None:
@@ -192,10 +207,7 @@ class SessionManager:
     # -- introspection -------------------------------------------------------
 
     def active(self) -> list[TranslationSession]:
-        return [s for s in self.sessions if not s.completed]
-
-    def __len__(self) -> int:
-        return len(self.sessions)
+        return [s for s in self.open_sessions.values() if not s.completed]
 
 
-__all__ = ["SessionManager", "SessionStats", "RequestDeduper"]
+__all__ = ["SessionManager", "SessionStats", "RequestDeduper", "RECENT_SESSIONS"]

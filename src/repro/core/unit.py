@@ -94,11 +94,16 @@ class UnitRuntime:
     def send_udp_from_new_socket(
         self, payload: bytes, destination: Endpoint, decode_hint: tuple | None = None
     ) -> None:
-        """Fire-and-forget from a throwaway socket (replies not expected)."""
+        """Fire-and-forget from a throwaway socket (replies not expected).
+
+        The socket is closed right after the send, so its ephemeral port
+        goes back to the node's port table.
+        """
         socket = self.node.udp.socket()
         socket.sendto(payload, destination, decode_hint=decode_hint)
         if self._register_own_port is not None and socket.port is not None:
             self._register_own_port(self.node.address, socket.port)
+        socket.close()
         self.messages_sent += 1
 
     def http(

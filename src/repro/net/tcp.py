@@ -44,7 +44,7 @@ class TcpConnection:
         #: so sends from stale timers drop silently (no FIN ever went out —
         #: the peer only notices through its own timeouts).
         self._crashed = False
-        node.tcp._connections.append(self)
+        node.tcp._connections[self] = None
         self._recv_buffer: list[tuple[bytes, object]] = []
         #: Decode memo attached to the chunk currently being delivered to
         #: the data handler (``None`` outside delivery).  This is the TCP
@@ -151,6 +151,7 @@ class TcpConnection:
             return
         self._closed = True
         peer = self._peer
+        self._release()
         if peer is not None and not peer._closed:
             network = self._node.network
             delay = network.unicast_delay_us(
@@ -167,8 +168,21 @@ class TcpConnection:
         if self._closed:
             return
         self._closed = True
-        if self._close_handler is not None:
-            self._close_handler()
+        handler = self._close_handler
+        self._release()
+        if handler is not None:
+            handler()
+
+    def _release(self) -> None:
+        """Drop what a closed side no longer reads: its stack entry, its
+        peer and its callbacks.  Peers point at each other and callbacks
+        usually close over their connection, so keeping them would leave
+        every finished exchange (and the application state its callbacks
+        hold) as cyclic garbage."""
+        self._node.tcp._connections.pop(self, None)
+        self._peer = None
+        self._data_handler = None
+        self._close_handler = None
 
 
 class TcpListener:
@@ -200,14 +214,17 @@ class TcpListener:
 class TcpStack:
     """Per-node listener table plus the connect state machine."""
 
+    #: First port handed out by :meth:`ephemeral_port`; the range ends at
+    #: 65535 and wraps around to here.
     EPHEMERAL_BASE = 32768
 
     def __init__(self, node: "Node"):
         self._node = node
         self._listeners: dict[int, TcpListener] = {}
-        #: Every connection this node has ever opened or accepted, for
-        #: crash-stop teardown (see :meth:`crash`).
-        self._connections: list[TcpConnection] = []
+        #: The connections this node has open (a connection leaves when
+        #: either side closes it), for crash-stop teardown (see
+        #: :meth:`crash`).  A dict used as an insertion-ordered set.
+        self._connections: dict[TcpConnection, None] = {}
         self._next_ephemeral = self.EPHEMERAL_BASE
 
     def listen(self, port: int, on_connection: ConnectHandler) -> TcpListener:
@@ -230,10 +247,10 @@ class TcpStack:
         crash-stop failure signature)."""
         for listener in list(self._listeners.values()):
             listener.close()
-        for connection in self._connections:
+        for connection in list(self._connections):
             connection._crashed = True
             connection._closed = True
-        self._connections.clear()
+            connection._release()
 
     def listener_for(self, port: int) -> TcpListener | None:
         listener = self._listeners.get(port)
@@ -242,9 +259,16 @@ class TcpStack:
         return listener
 
     def ephemeral_port(self) -> int:
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        return port
+        """The next port of the ephemeral range that no listener and no
+        open connection holds, wrapping around to :attr:`EPHEMERAL_BASE`
+        after 65535."""
+        held = self._listeners.keys() | {c.local.port for c in self._connections}
+        for _ in range(65536 - self.EPHEMERAL_BASE):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 65535 else self.EPHEMERAL_BASE
+            if port not in held:
+                return port
+        raise PortInUseError(f"TCP ephemeral port space exhausted on {self._node.name}")
 
     def connect(
         self,

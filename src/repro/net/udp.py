@@ -340,7 +340,8 @@ class UdpSocket:
 class UdpStack:
     """The per-node UDP port table."""
 
-    #: First ephemeral port handed out by :meth:`ephemeral_port`.
+    #: First ephemeral port handed out by :meth:`ephemeral_port`; the range
+    #: ends at 65535 and wraps around to here.
     EPHEMERAL_BASE = 49152
 
     def __init__(self, node: "Node"):
@@ -369,13 +370,14 @@ class UdpStack:
                 self._reusable.discard(port)
 
     def ephemeral_port(self) -> int:
-        while self._next_ephemeral in self._ports:
-            self._next_ephemeral += 1
-            if self._next_ephemeral > 65535:
-                raise NotBoundError("ephemeral port space exhausted")
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        return port
+        """The next unbound port of the ephemeral range, wrapping around
+        to :attr:`EPHEMERAL_BASE` after 65535."""
+        for _ in range(65536 - self.EPHEMERAL_BASE):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 65535 else self.EPHEMERAL_BASE
+            if port not in self._ports:
+                return port
+        raise NotBoundError("ephemeral port space exhausted")
 
     def sockets_for(self, port: int) -> list[UdpSocket]:
         return list(self._ports.get(port, ()))

@@ -426,31 +426,43 @@ class UserAgent(_SlpEndpointBase):
             predicate=predicate,
         )
         wait = wait_us if wait_us is not None else self.config.wait_us
-
-        def transmit(attempt: int, request: SrvRqst) -> None:
-            if search.completed:
-                return
-            if self._known_da is not None:
-                unicast = replace(request, header=request.header.with_flags(0))
-                self._send(unicast, self._known_da)
-            else:
-                self._send_multicast(request)
-            if attempt < self.config.retries:
-                interval = max(wait // (self.config.retries + 1), 1)
-                self.node.schedule(
-                    interval,
-                    lambda: transmit(
-                        attempt + 1, replace(request, prlist=tuple(search.responders))
-                    ),
-                )
-
         build_delay = self.config.timings.request_build_us
-        self.node.schedule(build_delay, lambda: transmit(0, request))
+        self.node.schedule(
+            build_delay, lambda: self._transmit(search, 0, request, wait)
+        )
 
         timer = Timer(self.node.network.scheduler_for(self.node), lambda: self._finish(xid))
         timer.start(build_delay + wait)
         self._timers[xid] = timer
         return search
+
+    def _transmit(
+        self, search: PendingSearch, attempt: int, request: SrvRqst, wait: int
+    ) -> None:
+        """Send one (re)transmission of a search and schedule the next.
+
+        A method rather than a closure that reschedules itself: such a
+        closure references its own cell, which would leave every search,
+        its callbacks and its results as cyclic garbage.
+        """
+        if search.completed:
+            return
+        if self._known_da is not None:
+            unicast = replace(request, header=request.header.with_flags(0))
+            self._send(unicast, self._known_da)
+        else:
+            self._send_multicast(request)
+        if attempt < self.config.retries:
+            interval = max(wait // (self.config.retries + 1), 1)
+            self.node.schedule(
+                interval,
+                lambda: self._transmit(
+                    search,
+                    attempt + 1,
+                    replace(request, prlist=tuple(search.responders)),
+                    wait,
+                ),
+            )
 
     def find_attributes(
         self,

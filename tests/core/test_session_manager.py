@@ -8,7 +8,7 @@ from repro.core.events import (
     bracket,
 )
 from repro.core.session import TranslationSession, stream_has_result
-from repro.core.sessions import RequestDeduper, SessionManager
+from repro.core.sessions import RECENT_SESSIONS, RequestDeduper, SessionManager
 from repro.net import Endpoint
 
 
@@ -100,9 +100,11 @@ class TestSessionManager:
         assert session.created_at_us == 42
         assert manager.stats.opened == 1
         assert manager.active() == [session]
-        manager.record_completed()
+        manager.record_completed(session)
         manager.record_timeout()
         assert (manager.stats.completed, manager.stats.timed_out) == (1, 1)
+        assert manager.active() == []
+        assert list(manager.recent) == [session]
 
     def test_cache_answer_accounting_marks_session(self):
         manager = SessionManager(Clock(), 1_000)
@@ -174,3 +176,44 @@ class TestMultiTargetCompletion:
         session = TranslationSession(origin_sdp="slp", requester=None)
         assert session.complete_with(_url_reply())
         assert not session.complete_with(_url_reply())
+
+
+class TestRecentSessionsRing:
+    def _indiss(self):
+        from repro.core import Indiss, IndissConfig
+        from repro.net import LatencyModel, Network
+
+        net = Network(latency=LatencyModel(jitter_us=0))
+        return Indiss(net.add_node("gateway"), IndissConfig(units=("slp",)))
+
+    def _open(self, indiss):
+        return indiss.session_manager.open(
+            "slp", None, [], on_reply=indiss._deliver_reply
+        )
+
+    def test_completed_sessions_leave_only_the_ring(self):
+        indiss = self._indiss()
+        sessions = [self._open(indiss) for _ in range(RECENT_SESSIONS + 8)]
+        for session in sessions:
+            assert session.complete_with([])
+        manager = indiss.session_manager
+        assert manager.open_sessions == {} and manager.active() == []
+        assert indiss.sessions == sessions[-RECENT_SESSIONS:]
+        assert manager.stats.opened == manager.stats.completed == len(sessions)
+
+    def test_crash_fences_a_session_older_than_the_ring(self):
+        """A session that fell out of the ring but is still open at crash
+        time is still forced complete, so a unit timer of the dead
+        incarnation cannot deliver a reply through it."""
+        indiss = self._indiss()
+        replies = []
+        old = self._open(indiss)
+        old.on_reply = lambda stream, session: replies.append(stream)
+        for _ in range(RECENT_SESSIONS + 1):
+            assert self._open(indiss).complete_with([])
+        assert old not in indiss.sessions
+        assert indiss.session_manager.active() == [old]
+        indiss.crash()
+        assert old.completed
+        assert not old.complete_with([])
+        assert replies == []

@@ -98,6 +98,26 @@ def test_tcp_dies_without_fin():
     assert closed == [] and not conn.closed
 
 
+def test_tcp_connection_open_at_crash_swallows_stale_sends():
+    """The crashed end's own connection, open at crash time, turns a
+    stale timer's send into a silent no-op; the stack forgets it."""
+    net = make_net()
+    server, client = net.add_node("server"), net.add_node("client")
+    server_conns, client_log = [], []
+    server.tcp.listen(8080, server_conns.append)
+    client.tcp.connect(
+        Endpoint(server.address, 8080), lambda conn: conn.on_data(client_log.append)
+    )
+    net.run()
+    stale = server_conns[0]
+    server.schedule(2_000, lambda: stale.send(b"ghost"))
+    assert len(server.tcp._connections) == 1
+    net.crash_node(server)
+    assert len(server.tcp._connections) == 0
+    net.run()  # must not raise
+    assert client_log == [] and stale.closed
+
+
 def test_restart_mints_fresh_session_block():
     """The n-th restart fleet-wide allocates session ids from
     ``(RESTART_SESSION_BLOCK + n) * SESSION_ID_BLOCK`` — above every

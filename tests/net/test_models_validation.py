@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.net import Endpoint, LatencyModel, LossModel, Network
+from repro.net import Endpoint, LatencyModel, LossModel, Network, NotBoundError
+from repro.net.tcp import TcpStack
 from repro.net.traffic import TrafficMonitor
+from repro.net.udp import UdpStack
 
 
 class TestLatencyModel:
@@ -103,3 +105,57 @@ class TestEphemeralPorts:
         first = node.tcp.ephemeral_port()
         second = node.tcp.ephemeral_port()
         assert second == first + 1
+
+    def test_udp_ephemeral_wraps_past_closed_sockets(self):
+        """Throwaway sockets closed after one send give their ports back:
+        a node can send from more of them than the range holds."""
+        net = Network(latency=LatencyModel(jitter_us=0))
+        node = net.add_node("n")
+        held = node.udp.socket().bind(UdpStack.EPHEMERAL_BASE + 1)
+        span = 65536 - UdpStack.EPHEMERAL_BASE
+        ports = []
+        for _ in range(span + 2):
+            sock = node.udp.socket()
+            sock.sendto(b"x", Endpoint("192.168.1.99", 9))
+            ports.append(sock.port)
+            sock.close()
+        assert held.port not in ports
+        assert sorted(ports[: span - 1]) == [
+            p for p in range(UdpStack.EPHEMERAL_BASE, 65536) if p != held.port
+        ]
+        # Wrapped: back to the base, skipping the still-bound port.
+        assert ports[span - 1 :] == [
+            UdpStack.EPHEMERAL_BASE,
+            UdpStack.EPHEMERAL_BASE + 2,
+            UdpStack.EPHEMERAL_BASE + 3,
+        ]
+        assert node.udp.bound_ports() == [held.port]
+
+    def test_udp_ephemeral_exhaustion_raises(self):
+        net = Network(latency=LatencyModel(jitter_us=0))
+        node = net.add_node("n")
+        for port in range(UdpStack.EPHEMERAL_BASE, 65536):
+            node.udp.socket().bind(port)
+        with pytest.raises(NotBoundError):
+            node.udp.ephemeral_port()
+
+    def test_tcp_ephemeral_wraps_and_skips_held_ports(self):
+        net = Network(latency=LatencyModel(jitter_us=0))
+        client, server = net.add_node("c"), net.add_node("s")
+        server.tcp.listen(80, lambda conn: None)
+        conns = []
+        client.tcp.connect(Endpoint(server.address, 80), conns.append)
+        net.run()
+        connected = conns[0].local.port
+        assert connected == TcpStack.EPHEMERAL_BASE
+        listening = client.tcp.ephemeral_port()
+        client.tcp.listen(listening, lambda conn: None)
+        span = 65536 - TcpStack.EPHEMERAL_BASE
+        lap = [client.tcp.ephemeral_port() for _ in range(span - 2)]
+        assert sorted(lap) == list(range(listening + 1, 65536))
+        # Wrapped: the open connection's and the listener's ports are
+        # skipped until they are released.
+        assert client.tcp.ephemeral_port() == listening + 1
+        conns[0].close()
+        again = [client.tcp.ephemeral_port() for _ in range(span - 2)]
+        assert again[-1] == connected and listening not in again

@@ -121,6 +121,20 @@ def test_close_propagates_eof():
     assert closed == ["server"]
 
 
+def test_closed_connections_leave_both_stacks():
+    net = make_net()
+    client, server = net.add_node("c"), net.add_node("s")
+    server.tcp.listen(80, lambda conn: None)
+    conns = []
+    client.tcp.connect(Endpoint(server.address, 80), conns.append)
+    net.run()
+    assert (len(client.tcp._connections), len(server.tcp._connections)) == (1, 1)
+    conns[0].close()
+    assert len(client.tcp._connections) == 0
+    net.run()
+    assert len(server.tcp._connections) == 0
+
+
 def test_fin_never_overtakes_data():
     """Regression: send() followed immediately by close() must still deliver.
 
