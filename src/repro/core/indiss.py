@@ -193,7 +193,7 @@ class Indiss:
         return UnitRuntime(
             self.node,
             timings=self.config.timings,
-            register_own_port=self.monitor.ignore_endpoint,
+            owner=self.monitor,
         )
 
     def _default_factory(self, sdp_id: str) -> Unit:
@@ -506,13 +506,13 @@ class Indiss:
             self.session_manager.record_timeout()
             session.log("indiss: no service found; staying silent")
             return
-        if self.config.cache_discoveries:
+        if self.config.cache_discoveries and not session.answered_from_cache:
             from ..units.records import record_from_stream
 
             record = record_from_stream(
                 reply_stream, source_sdp=self._reply_source_sdp(reply_stream, session)
             )
-            if record is not None and not session.answered_from_cache:
+            if record is not None:
                 self.cache.store(record)
         if origin_unit is not None:
             origin_unit.compose_reply(reply_stream, session)

@@ -58,10 +58,6 @@ class MonitorComponent:
         self.unknown_port_messages = 0
         self._stale_after_us = stale_after_us
         self._sockets: list[UdpSocket] = []
-        #: (host, port) pairs whose outbound traffic must be ignored —
-        #: INDISS's own sockets, registered by the unit runtime so the
-        #: system never re-translates its own messages.
-        self._own_endpoints: set[tuple[str, int]] = set()
 
         sdp_ids = scan if scan is not None else tuple(self.registry.known_sdps())
         bound: set[int] = set()
@@ -88,18 +84,14 @@ class MonitorComponent:
             socket.close()
         self._sockets.clear()
 
-    # -- self-traffic suppression -------------------------------------------
-
-    def ignore_endpoint(self, host: str, port: int) -> None:
-        self._own_endpoints.add((host, port))
-
-    def _is_own_traffic(self, datagram: Datagram) -> bool:
-        return (datagram.source.host, datagram.source.port) in self._own_endpoints
-
     # -- detection ----------------------------------------------------------------
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        if self._is_own_traffic(datagram):
+        # INDISS's own sockets carry this monitor as their owner tag
+        # (see UnitRuntime), so the system never re-translates its own
+        # messages; the check holds no per-socket state, and a foreign
+        # socket that later reuses one of their ports is still monitored.
+        if datagram.owner is self:
             return
         port = datagram.destination.port
         sdp_id = self.registry.sdp_for_port(port)

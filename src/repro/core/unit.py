@@ -59,11 +59,15 @@ class UnitRuntime:
     """Node-facing I/O for one unit."""
 
     def __init__(self, node: Node, timings: IndissTimings | None = None,
-                 register_own_port: Callable[[str, int], None] | None = None):
+                 owner: object = None):
         self.node = node
         self.timings = timings if timings is not None else IndissTimings()
-        self._register_own_port = register_own_port
+        #: Tag for every socket this runtime sends from
+        #: (:attr:`repro.net.UdpSocket.owner`): INDISS passes its monitor,
+        #: which then skips the frames these sockets send.
+        self.owner = owner
         self._socket = node.udp.socket()
+        self._socket.owner = owner
         self._socket.on_datagram(self._dispatch_datagram)
         self._datagram_handler: Optional[Callable[[bytes, NetworkMeta], None]] = None
         self.messages_sent = 0
@@ -88,8 +92,6 @@ class UnitRuntime:
     ) -> None:
         self._socket.sendto(payload, destination, decode_hint=decode_hint)
         self.messages_sent += 1
-        if self._register_own_port is not None and self._socket.port is not None:
-            self._register_own_port(self.node.address, self._socket.port)
 
     def send_udp_from_new_socket(
         self, payload: bytes, destination: Endpoint, decode_hint: tuple | None = None
@@ -100,9 +102,8 @@ class UnitRuntime:
         goes back to the node's port table.
         """
         socket = self.node.udp.socket()
+        socket.owner = self.owner
         socket.sendto(payload, destination, decode_hint=decode_hint)
-        if self._register_own_port is not None and socket.port is not None:
-            self._register_own_port(self.node.address, socket.port)
         socket.close()
         self.messages_sent += 1
 

@@ -71,8 +71,32 @@ def is_loopback(address: str) -> bool:
     return parse_ipv4(address)[0] == 127
 
 
-def is_broadcast(address: str) -> bool:
-    return address == BROADCAST
+#: Destination classes returned by :func:`destination_kind`.
+KIND_UNICAST = 0
+KIND_MULTICAST = 1
+KIND_BROADCAST = 2
+KIND_LOOPBACK = 3
+
+
+@lru_cache(maxsize=65536)
+def destination_kind(address: str) -> int:
+    """Classify a destination address for delivery, in the order the
+    network routes it: :data:`KIND_MULTICAST` (224.0.0.0/4), then
+    :data:`KIND_BROADCAST`, then :data:`KIND_LOOPBACK` (127.0.0.0/8),
+    else :data:`KIND_UNICAST`.
+
+    One memoized call per frame replaces the separate multicast,
+    broadcast and loopback tests; a malformed address raises
+    :class:`AddressError` exactly as :func:`is_multicast` does.
+    """
+    first = parse_ipv4(address)[0]
+    if _MULTICAST_FIRST_OCTET_LOW <= first <= _MULTICAST_FIRST_OCTET_HIGH:
+        return KIND_MULTICAST
+    if address == BROADCAST:
+        return KIND_BROADCAST
+    if first == 127:
+        return KIND_LOOPBACK
+    return KIND_UNICAST
 
 
 def validate_port(port: int) -> int:
@@ -160,6 +184,10 @@ __all__ = [
     "is_valid_ipv4",
     "is_multicast",
     "is_loopback",
-    "is_broadcast",
+    "destination_kind",
+    "KIND_UNICAST",
+    "KIND_MULTICAST",
+    "KIND_BROADCAST",
+    "KIND_LOOPBACK",
     "validate_port",
 ]

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .addressing import (
+    KIND_BROADCAST,
+    KIND_LOOPBACK,
+    KIND_MULTICAST,
     Endpoint,
     LOOPBACK,
-    is_broadcast,
+    destination_kind,
     is_loopback,
-    is_multicast,
     parse_ipv4,
 )
 from .errors import AddressError, NetworkError
@@ -42,7 +45,7 @@ from .partition import PartitionMap
 from .segment import Bridge, DEFAULT_LINK_LATENCY_US, Link, Router, Segment
 from .simclock import Scheduler
 from .traffic import TrafficMonitor
-from .udp import Datagram, NULL_MEMO, ParseCounter
+from .udp import Datagram, FrameMemo, NULL_MEMO, ParseCounter
 
 if TYPE_CHECKING:  # pragma: no cover
     from .parallel import ShardedScheduler
@@ -659,7 +662,13 @@ class Network:
         engine = self.engine
         if engine is None:
             return self.scheduler
-        return engine.shards[self.partition_of_node(node)]
+        # Under an engine a node's district never changes once known (the
+        # attach/bridge/restart guards refuse any move across districts),
+        # so the cached id stands in for a partition_of_node call.
+        pid = node._pid
+        if pid is None:
+            pid = self.partition_of_node(node)
+        return engine.shards[pid]
 
     def session_id_source(self, node: Node) -> Callable[[], int]:
         """The session-id allocator for ``node``'s INDISS instance.
@@ -828,41 +837,39 @@ class Network:
         destination: Endpoint,
         payload: bytes,
         decode_hint: tuple | None = None,
+        owner: object = None,
     ) -> None:
         """Route one UDP datagram (unicast, multicast, or broadcast).
 
         ``decode_hint`` pre-seeds the frame's decode memo with the sender's
-        structured form of the payload (see :meth:`UdpSocket.sendto`).
+        structured form of the payload (see :meth:`UdpSocket.sendto`);
+        ``owner`` is the sending socket's tag, carried on the frame.
         """
         if not sender.segments:
             # A detached host (fleet churn) has no NIC: the send drops.
             self.unrouted += 1
             return
+        kind = destination_kind(destination.host)
         size = len(payload)
         self.traffic.record(
-            self.scheduler.now_us,
-            destination.port,
-            size,
-            "udp",
-            multicast=is_multicast(destination.host),
+            self.scheduler.now_us, destination.port, size, "udp", kind == KIND_MULTICAST
         )
         if self.parse_once:
-            datagram = Datagram(payload=payload, source=source, destination=destination)
+            datagram = Datagram(payload, source, destination, None, owner)
             if decode_hint is not None:
-                datagram.ensure_memo().store(decode_hint[0], payload, decode_hint[1])
+                memo = datagram.memo = FrameMemo()
+                memo.store(decode_hint[0], payload, decode_hint[1])
         else:
             # A/B mode: the shared null memo swallows stores and misses
             # every lookup, so each receiver pays its own decode.
-            datagram = Datagram(
-                payload=payload, source=source, destination=destination, memo=NULL_MEMO
-            )
+            datagram = Datagram(payload, source, destination, NULL_MEMO, owner)
 
-        if is_multicast(destination.host):
-            self._deliver_multicast(sender, datagram)
-        elif is_broadcast(destination.host):
-            self._deliver_broadcast(sender, datagram)
+        if kind == KIND_MULTICAST:
+            self._deliver_multicast(sender, datagram, size)
+        elif kind == KIND_BROADCAST:
+            self._deliver_broadcast(sender, datagram, size)
         else:
-            self._deliver_unicast(sender, datagram)
+            self._deliver_unicast(sender, datagram, size, kind == KIND_LOOPBACK)
 
     def _obs_count_frame(self, segment: Segment, nbytes: int) -> None:
         """Per-segment frame/byte counters (recording enabled only).
@@ -897,45 +904,46 @@ class Network:
             pair[1].inc(nbytes)
 
     def _record_on_segment(
-        self, segment: Segment, datagram: Datagram, multicast: bool
+        self, segment: Segment, datagram: Datagram, size: int, multicast: bool
     ) -> None:
         if self.obs.on:
-            self._obs_count_frame(segment, len(datagram.payload))
+            self._obs_count_frame(segment, size)
         segment.traffic.record(
-            self.scheduler.now_us,
-            datagram.destination.port,
-            len(datagram.payload),
-            "udp",
-            multicast=multicast,
+            self.scheduler.now_us, datagram.destination.port, size, "udp", multicast
         )
-        self.trace_message(
-            "udp",
-            datagram.source,
-            datagram.destination,
-            datagram.payload,
-            segment=segment.name,
-        )
+        if self._capture:
+            self.trace_message(
+                "udp",
+                datagram.source,
+                datagram.destination,
+                datagram.payload,
+                segment=segment.name,
+            )
 
-    def _deliver_unicast(self, sender: Node, datagram: Datagram) -> None:
+    def _deliver_unicast(
+        self, sender: Node, datagram: Datagram, size: int, loopback: bool
+    ) -> None:
         destination = datagram.destination
-        size = len(datagram.payload)
-        if is_loopback(destination.host) or destination.host == sender.address:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
-            self._schedule_delivery(sender, datagram, True, sender.segment)
+        if loopback or destination.host == sender.address:
+            segment = sender.segments[0]
+            self._record_on_segment(segment, datagram, size, False)
+            self._schedule_delivery(sender, datagram, True, segment, 0, size)
             return
         target = self._nodes.get(destination.host)
-        if target is None:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
-            self.unrouted += 1
-            return
-        route = self._route_segments(sender, target)
+        route = None if target is None else self._route_segments(sender, target)
         if route is None:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
+            self._record_on_segment(sender.segments[0], datagram, size, False)
             self.unrouted += 1
             return
         traversed, link_latency, link_pairs = route
+        if len(traversed) == 1:
+            # Same-segment delivery: no links, no district boundary.
+            segment = traversed[0]
+            self._record_on_segment(segment, datagram, size, False)
+            self._schedule_delivery(target, datagram, False, segment, 0, size)
+            return
         pmap = self.partition_map
-        if pmap is not None and len(traversed) > 1:
+        if pmap is not None:
             src_pid = pmap.pid_of.get(traversed[0].name)
             dst_pid = pmap.pid_of.get(traversed[-1].name)
             if src_pid is not None and dst_pid is not None and src_pid != dst_pid:
@@ -944,23 +952,26 @@ class Network:
                 # make the destination district's RNG order depend on the
                 # source district's traffic interleaving.
                 self._deliver_cross(
-                    sender, datagram, traversed, link_latency, src_pid, dst_pid
+                    sender, datagram, size, traversed, link_latency, src_pid, dst_pid
                 )
                 return
         for segment in traversed:
-            self._record_on_segment(segment, datagram, multicast=False)
+            self._record_on_segment(segment, datagram, size, False)
         if link_pairs and self._adversity:
-            self._deliver_trunk(target, datagram, traversed, link_latency, link_pairs)
+            self._deliver_trunk(
+                target, datagram, size, traversed, link_latency, link_pairs
+            )
             return
         # Upstream (pre-final-hop) cost is drawn once; the final-segment
         # delay is drawn per receiving socket, like local delivery.
         prefix = sum(s.delay_us(size) for s in traversed[:-1]) + link_latency
-        self._schedule_delivery(target, datagram, False, traversed[-1], prefix)
+        self._schedule_delivery(target, datagram, False, traversed[-1], prefix, size)
 
     def _deliver_trunk(
         self,
         target: Node,
         datagram: Datagram,
+        size: int,
         traversed: tuple[Segment, ...],
         link_latency: int,
         link_pairs: tuple[tuple[str, str], ...],
@@ -975,7 +986,6 @@ class Network:
         event order on the district that owns the path, so seeded fault
         runs replay identically on every engine backend.
         """
-        size = len(datagram.payload)
         prefix = sum(s.delay_us(size) for s in traversed[:-1]) + link_latency
         final = traversed[-1]
         router = self.router
@@ -993,7 +1003,7 @@ class Network:
                 if model is not None and model.should_drop():
                     self._obs_loss_drop(f"{pair[0]}-{pair[1]}", final.name)
                     return
-            self._schedule_delivery(target, datagram, False, final, 0)
+            self._schedule_delivery(target, datagram, False, final, 0, size)
 
         self.scheduler_for(target).post(prefix, on_trunk, label="udp-trunk")
 
@@ -1001,6 +1011,7 @@ class Network:
         self,
         sender: Node,
         datagram: Datagram,
+        size: int,
         traversed: tuple[Segment, ...],
         link_latency: int,
         src_pid: int,
@@ -1025,12 +1036,11 @@ class Network:
         Only sender-district segments (and the final, target-district one)
         record traffic: a multiprocess worker never sees transit districts.
         """
-        size = len(datagram.payload)
         final = traversed[-1]
         pid_of = self.partition_map.pid_of
         for segment in traversed:
             if pid_of.get(segment.name) == src_pid:
-                self._record_on_segment(segment, datagram, multicast=False)
+                self._record_on_segment(segment, datagram, size, False)
         delay = (
             sum(s.det_delay_us(size) for s in traversed[:-1])
             + link_latency
@@ -1061,7 +1071,7 @@ class Network:
         # engine) draws once per frame here.
         if self.loss is not None and self.loss.should_drop():
             return
-        self._record_on_segment(final, datagram, multicast=False)
+        self._record_on_segment(final, datagram, size, False)
         fresh = self._cross_datagram(datagram.payload, datagram.source, destination)
         self.scheduler.post(
             delay,
@@ -1074,10 +1084,8 @@ class Network:
     ) -> Datagram:
         """A fresh frame for the far side of a district boundary; its memo
         starts empty (parse-once restarts among the target's sockets)."""
-        if self.parse_once:
-            return Datagram(payload=payload, source=source, destination=destination)
         return Datagram(
-            payload=payload, source=source, destination=destination, memo=NULL_MEMO
+            payload, source, destination, None if self.parse_once else NULL_MEMO
         )
 
     def _deliver_cross_frame(
@@ -1112,9 +1120,10 @@ class Network:
                 "udp",
                 multicast=False,
             )
-            self.trace_message(
-                "udp", source, destination, frame.payload, segment=final.name
-            )
+            if self._capture:
+                self.trace_message(
+                    "udp", source, destination, frame.payload, segment=final.name
+                )
         shard = self.engine.shards[frame.dst_pid]
         shard.post(
             frame.due_us - shard._now_us,
@@ -1122,7 +1131,7 @@ class Network:
             label=CROSS_LABEL,
         )
 
-    def _deliver_multicast(self, sender: Node, datagram: Datagram) -> None:
+    def _deliver_multicast(self, sender: Node, datagram: Datagram, size: int) -> None:
         """Fan a datagram out to the group on each of the sender's segments.
 
         Group membership resolves at *delivery* time (a socket that joins
@@ -1137,13 +1146,12 @@ class Network:
         """
         group = datagram.destination.host
         port = datagram.destination.port
-        size = len(datagram.payload)
         # Multicast is segment-scoped, so every receiver shares the
         # sender's district: its shard carries the whole fan-out (and this
         # also keeps workload-time sends off the engine façade).
         scheduler = self.scheduler_for(sender)
         for segment in sender.segments:
-            self._record_on_segment(segment, datagram, multicast=True)
+            self._record_on_segment(segment, datagram, size, True)
             lan_delay = segment.delay_us(size)
             drop = self.loss is not None and self.loss.should_drop()
 
@@ -1164,7 +1172,7 @@ class Network:
 
             scheduler.post(lan_delay, deliver_lan, label="udp-mcast")
 
-        loop_delay = sender.segment.delay_us(size, loopback=True)
+        loop_delay = sender.segments[0].delay_us(size, loopback=True)
 
         def deliver_loopback() -> None:
             for sock in sender.udp.sockets_for_group(group, port):
@@ -1172,15 +1180,15 @@ class Network:
 
         scheduler.post(loop_delay, deliver_loopback, label="udp-mcast-loop")
 
-    def _deliver_broadcast(self, sender: Node, datagram: Datagram) -> None:
+    def _deliver_broadcast(self, sender: Node, datagram: Datagram, size: int) -> None:
         delivered: set[str] = set()
         for segment in sender.segments:
-            self._record_on_segment(segment, datagram, multicast=False)
+            self._record_on_segment(segment, datagram, size, False)
             for node in segment.nodes:
                 if node.address in delivered:
                     continue
                 delivered.add(node.address)
-                self._schedule_delivery(node, datagram, node is sender, segment)
+                self._schedule_delivery(node, datagram, node is sender, segment, 0, size)
 
     def _schedule_delivery(
         self,
@@ -1188,40 +1196,47 @@ class Network:
         datagram: Datagram,
         loopback: bool,
         segment: Segment,
-        prefix_delay: int = 0,
+        prefix_delay: int,
+        size: int,
     ) -> None:
-        stack = node.udp_stack
+        """One delivery event per socket bound to the destination port.
+
+        Every socket in the port table belongs to ``node``, so the wheel
+        is resolved once per frame.  Draw order per socket is unchanged:
+        global loss, then the segment's delay (jitter), then per-edge loss
+        at delivery time.
+        """
+        stack = node._udp
         if stack is None:
             return  # the host never opened a socket; nothing can bind
-        for sock in stack.sockets_for(datagram.destination.port):
-            self._schedule_socket_delivery(sock, datagram, loopback, segment, prefix_delay)
-
-    def _schedule_socket_delivery(
-        self,
-        sock,
-        datagram: Datagram,
-        loopback: bool,
-        segment: Segment,
-        prefix_delay: int = 0,
-    ) -> None:
-        if self.loss is not None and not loopback and self.loss.should_drop():
+        # The live port list, not a copy: posting events cannot rebind it.
+        holders = stack._ports.get(datagram.destination.port)
+        if not holders:
             return
-        delay = prefix_delay + segment.delay_us(len(datagram.payload), loopback=loopback)
-        loss = segment.loss
-        if loss is not None and not loopback:
-            # Adversity: draw the drop at delivery-event time (owning
-            # shard), not here — send paths replay in forked workers.
-            def deliver_lossy() -> None:
-                if loss.should_drop():
-                    self._obs_loss_drop(segment.name, segment.name)
-                    return
-                sock.deliver(datagram)
+        scheduler = self.scheduler_for(node)
+        global_loss = None if loopback else self.loss
+        edge_loss = None if loopback else segment.loss
+        delay_us = segment.latency.delay_us
+        for sock in holders:
+            if global_loss is not None and global_loss.should_drop():
+                continue
+            delay = prefix_delay + delay_us(size, loopback)
+            if edge_loss is not None:
+                # Adversity: draw the drop at delivery-event time (owning
+                # shard), not here — send paths replay in forked workers.
+                scheduler.post(
+                    delay,
+                    partial(self._deliver_lossy, edge_loss, segment, sock, datagram),
+                    label="udp-delivery",
+                )
+            else:
+                scheduler.post(delay, partial(sock.deliver, datagram), label="udp-delivery")
 
-            self.scheduler_for(sock.node).post(delay, deliver_lossy, label="udp-delivery")
+    def _deliver_lossy(self, loss, segment: Segment, sock, datagram: Datagram) -> None:
+        if loss.should_drop():
+            self._obs_loss_drop(segment.name, segment.name)
             return
-        self.scheduler_for(sock.node).post(
-            delay, lambda: sock.deliver(datagram), label="udp-delivery"
-        )
+        sock.deliver(datagram)
 
     # -- run helpers ------------------------------------------------------------
 

@@ -253,13 +253,14 @@ class ShardedScheduler:
     def _run_window_traced(self, edge_us: int, obs) -> None:
         """One window with the flight recorder on: per-district timelines.
 
-        Replays :meth:`Scheduler.run_until`'s exact loop (peek/step until
-        the edge, then advance the clock) so the event schedule stays
-        bit-identical to the untraced engine, while tracking the last
-        instant each shard actually fired at — the busy/stall split.  Per
-        district and window this emits an ``engine.window`` span, an
-        ``engine.stall`` span for the idle tail spent waiting on the
-        barrier, and a wheel-occupancy counter sample at the edge.
+        Runs what :meth:`Scheduler.run_until` runs, as a peek/step loop
+        (fire every event up to the edge, then advance the clock), so the
+        event schedule stays bit-identical to the untraced engine, while
+        tracking the last instant each shard actually fired at — the
+        busy/stall split.  Per district and window this emits an
+        ``engine.window`` span, an ``engine.stall`` span for the idle tail
+        spent waiting on the barrier, and a wheel-occupancy counter sample
+        at the edge.
         """
         trace = obs.trace
         metrics = obs.metrics

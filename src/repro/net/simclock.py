@@ -378,7 +378,8 @@ class Scheduler:
     def _compact(self) -> None:
         """Sweep tombstones out of every structure (dead fraction > 1/2)."""
         self.compactions += 1
-        self._ready = [t for t in self._ready if not t[2].cancelled]
+        # In place: the run loop holds a reference to the ready heap.
+        self._ready[:] = [t for t in self._ready if not t[2].cancelled]
         heapq.heapify(self._ready)
         for slots, occ_attr in ((self._l0, "_occ0"), (self._l1, "_occ1")):
             occ = 0
@@ -435,12 +436,30 @@ class Scheduler:
         return True
 
     def run_until(self, time_us: int) -> None:
-        """Run all events with timestamp <= ``time_us``; advance time there."""
-        while True:
-            head = self._peek_time()
-            if head is None or head > time_us:
+        """Run all events with timestamp <= ``time_us``; advance time there.
+
+        Equivalent to peeking and calling :meth:`step` until the head is
+        past ``time_us``, but each event is popped once: the loop looks at
+        the ready heap's head, skips tombstones, and fires in place.
+        """
+        ready = self._ready
+        heappop = heapq.heappop
+        while ready or self._refill_ready():
+            head_time, _, event = ready[0]
+            if event.cancelled:
+                heappop(ready)
+                self._dead -= 1
+                continue
+            if head_time > time_us:
                 break
-            self.step()
+            heappop(ready)
+            self._now_us = head_time
+            self._events_fired += 1
+            self._live -= 1
+            event.fired = True
+            if self.fire_log is not None:
+                self.fire_log.append((event.label, head_time, event.seq))
+            event.callback()
         if self._now_us < time_us:
             self._now_us = time_us
 

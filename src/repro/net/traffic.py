@@ -8,11 +8,11 @@ plus the per-port counters used by tests and benchmark reports.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class PortCounters:
     """Cumulative counters for one UDP/TCP port."""
 
@@ -36,13 +36,15 @@ class TrafficMonitor:
     def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
         self._bandwidth_bps = bandwidth_bps
         self._window_us = window_us
-        self._per_port: dict[int, PortCounters] = defaultdict(PortCounters)
+        self._per_port: dict[int, PortCounters] = {}
         self._recent: deque[tuple[int, int]] = deque()
         self.total_messages = 0
         self.total_bytes = 0
 
     def record(self, time_us: int, port: int, size: int, transport: str, multicast: bool) -> None:
-        counters = self._per_port[port]
+        counters = self._per_port.get(port)
+        if counters is None:
+            counters = self._per_port[port] = PortCounters()
         counters.messages += 1
         counters.bytes += size
         counters.last_seen_us = time_us
@@ -50,8 +52,10 @@ class TrafficMonitor:
             counters.multicast_messages += 1
         self.total_messages += 1
         self.total_bytes += size
-        self._recent.append((time_us, size))
-        self._evict(time_us)
+        recent = self._recent
+        recent.append((time_us, size))
+        if recent[0][0] < time_us - self._window_us:
+            self._evict(time_us)
 
     def _evict(self, now_us: int) -> None:
         horizon = now_us - self._window_us

@@ -7,7 +7,6 @@ groups, send datagrams, receive them through a callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .addressing import ANY, Endpoint, is_multicast, validate_port
@@ -165,19 +164,59 @@ def shared_decode(memo, key, payload: bytes, codec, counter=None):
     return value
 
 
-@dataclass(frozen=True)
 class Datagram:
-    """A delivered UDP datagram."""
+    """A delivered UDP datagram.
 
-    payload: bytes
-    source: Endpoint
-    destination: Endpoint
-    #: Per-frame decode memo shared by every socket this frame reaches;
-    #: excluded from equality/hash (two equal frames are equal regardless
-    #: of what receivers decoded so far).  Created lazily by
-    #: :meth:`ensure_memo` — frames nobody memoizes (TCP-ish payloads,
-    #: single-receiver traffic without a decode hint) never allocate one.
-    memo: Optional[FrameMemo] = field(default=None, compare=False, repr=False)
+    One is built per frame sent, so it is a slotted plain class: a frozen
+    dataclass pays an ``object.__setattr__`` per field.  Equality, hash
+    and repr cover ``payload``, ``source`` and ``destination`` only, as a
+    frozen dataclass with ``memo`` and ``owner`` excluded would; no field
+    is reassigned once the frame is built (``ensure_memo`` fills an empty
+    memo once).
+    """
+
+    __slots__ = ("payload", "source", "destination", "memo", "owner")
+
+    def __init__(
+        self,
+        payload: bytes,
+        source: Endpoint,
+        destination: Endpoint,
+        memo: Optional[FrameMemo] = None,
+        owner: object = None,
+    ) -> None:
+        self.payload = payload
+        self.source = source
+        self.destination = destination
+        #: Per-frame decode memo shared by every socket this frame
+        #: reaches; excluded from equality/hash (two equal frames are
+        #: equal regardless of what receivers decoded so far).  Created
+        #: lazily by :meth:`ensure_memo` — frames nobody memoizes
+        #: (single-receiver traffic without a decode hint) never allocate
+        #: one.
+        self.memo = memo
+        #: The sending socket's :attr:`UdpSocket.owner` tag (``None`` for
+        #: untagged sockets and for frames rebuilt at a district
+        #: boundary); excluded from equality/hash.
+        self.owner = owner
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.payload, self.source, self.destination) == (
+            other.payload,
+            other.source,
+            other.destination,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.payload, self.source, self.destination))
+
+    def __repr__(self) -> str:
+        return (
+            f"Datagram(payload={self.payload!r}, source={self.source!r}, "
+            f"destination={self.destination!r})"
+        )
 
     def ensure_memo(self) -> FrameMemo:
         """The frame's memo, created on first demand.
@@ -187,8 +226,7 @@ class Datagram:
         """
         memo = self.memo
         if memo is None:
-            memo = FrameMemo()
-            object.__setattr__(self, "memo", memo)
+            memo = self.memo = FrameMemo()
         return memo
 
     @property
@@ -216,6 +254,13 @@ class UdpSocket:
         #: raise into a survivor's event loop).
         self._crashed = False
         self._handler: Optional[DatagramHandler] = None
+        #: The bound source endpoint, built once at bind time.
+        self._source: Endpoint | None = None
+        #: Opaque tag stamped on every frame this socket sends
+        #: (:attr:`Datagram.owner`).  An INDISS instance tags its own
+        #: sockets with its monitor, so the monitor can skip its own
+        #: traffic without keeping any per-socket state.
+        self.owner: object = None
         #: Datagrams delivered before a handler was attached (tests read this).
         self.inbox: list[Datagram] = []
         self.sent_count = 0
@@ -248,6 +293,7 @@ class UdpSocket:
         validate_port(port)
         self._node.udp.register(self, port, reuse)
         self._port = port
+        self._source = Endpoint(self._node.address, port)
         for group in self._groups:
             self._index_membership(group)
         return self
@@ -302,13 +348,14 @@ class UdpSocket:
         """
         if self._crashed:
             return
-        self._ensure_open()
+        if self._closed:
+            raise SocketClosedError("operation on closed UDP socket")
         if self._port is None:
             # Match OS behaviour: sending auto-binds to an ephemeral port.
             self.bind(self._node.udp.ephemeral_port())
-        source = Endpoint(self._node.address, self._port)
-        self._node.network.send_datagram(
-            self._node, source, destination, bytes(payload), decode_hint=decode_hint
+        node = self._node
+        node.network.send_datagram(
+            node, self._source, destination, bytes(payload), decode_hint, self.owner
         )
         self.sent_count += 1
 
@@ -317,8 +364,9 @@ class UdpSocket:
         if self._closed:
             return
         self.received_count += 1
-        if self._handler is not None:
-            self._handler(datagram)
+        handler = self._handler
+        if handler is not None:
+            handler(datagram)
         else:
             self.inbox.append(datagram)
 

@@ -46,15 +46,23 @@ WIRE_VERSION = 1
 REQUEST_KINDS = ("type", "url", "batch", "districts")
 
 
+#: One encoder and one decoder for every message: ``json.dumps`` with a
+#: keyword builds a fresh ``JSONEncoder`` per call.  The encoder's
+#: settings are those of ``json.dumps(message, sort_keys=True)``, so the
+#: bytes are identical.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()
+
+
 def encode(message: Mapping[str, Any]) -> bytes:
     """Canonical-JSON encode: same message, same bytes, every run."""
-    return json.dumps(message, sort_keys=True).encode("utf-8")
+    return _ENCODER.encode(message).encode("utf-8")
 
 
 def decode(payload: bytes) -> Optional[dict]:
     """Best-effort decode; None for anything that is not a JSON object."""
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _DECODER.decode(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(message, dict):

@@ -36,6 +36,7 @@ from ..sdp.slp import (
     UserAgent,
 )
 from ..sdp.upnp import UpnpControlPoint, make_clock_device
+from ..serving import wire as serving_wire
 from .observers import COLLECTORS, global_metrics, note_row_latency
 from .outcome import ScenarioOutcome
 from .spec import (
@@ -850,59 +851,17 @@ class World:
     def _start_query_client(self, step, node, target, times, stats) -> None:
         """One client: its socket, response handler, and send chain.
 
-        A factory method so every closure binds *this* client's state —
-        a loop-local ``def`` would rebind the recursive ``fire`` name.
+        The handler stays a closure named ``on_response`` defined here:
+        the benchmark's operation probe (``perfbench/probes.py``)
+        recognises serving clients by that qualified name.
         """
-        from ..serving import wire as serving_wire
-
-        net = self.net
-        state = {"inflight": {}, "last_url": None}
-        sock = node.udp.socket()
+        client = _QueryClient(self.net, step, node, target, times, stats)
 
         def on_response(datagram) -> None:
-            reply = serving_wire.decode(datagram.payload)
-            if reply is None or reply.get("kind") != "resp":
-                stats["decode_errors"] += 1
-                return
-            sent_at = state["inflight"].pop(reply.get("rid"), None)
-            stats["responses"] += 1
-            if reply.get("status") == "ok":
-                stats["hits"] += 1
-                records = reply.get("records") or []
-                if records:
-                    state["last_url"] = records[0].get("u")
-            else:
-                stats["misses"] += 1
-            if reply.get("stale"):
-                stats["stale"] += 1
-            stamp = int(reply.get("staleness_us", 0))
-            if stamp > stats["staleness_max_us"]:
-                stats["staleness_max_us"] = stamp
-            if sent_at is not None and net.obs.on:
-                latency = node.now_us - sent_at
-                note_row_latency(stats, latency)
-                net.obs.metrics.histogram(
-                    "serving.query.latency_us", group=step.group
-                ).observe(latency)
+            client.on_response(datagram)
 
-        sock.on_datagram(on_response)
-
-        def fire(i: int) -> None:
-            message = _build_query(step, i, state)
-            state["inflight"][i] = node.now_us
-            stats["sent"] += 1
-            kind = message["kind"]
-            if kind == "batch":
-                stats["batch_sent"] += 1
-            elif kind == "districts":
-                stats["districts_sent"] += 1
-            elif kind == "url":
-                stats["url_sent"] += 1
-            sock.sendto(serving_wire.encode(message), target)
-            if i + 1 < len(times):
-                node.schedule(times[i + 1] - times[i], lambda: fire(i + 1))
-
-        node.schedule(step.start_delay_us + times[0], lambda: fire(0))
+        client.sock.on_datagram(on_response)
+        node.schedule(step.start_delay_us + times[0], client.fire)
 
     def _run_churn(self, step: Churn) -> None:
         """Sustained membership churn over one fleet.
@@ -1126,12 +1085,10 @@ def _arrival_offsets(step: QueryLoad, rng: random.Random) -> list[int]:
     return times
 
 
-def _build_query(step: QueryLoad, i: int, state: dict) -> dict:
+def _build_query(step: QueryLoad, i: int, last_url: Optional[str]) -> dict:
     """The i-th query in the step's mix (see :class:`QueryLoad`)."""
-    from ..serving import wire as serving_wire
-
-    if step.url_every and (i + 1) % step.url_every == 0 and state["last_url"]:
-        return serving_wire.request("url", i, url=state["last_url"])
+    if step.url_every and (i + 1) % step.url_every == 0 and last_url:
+        return serving_wire.request("url", i, url=last_url)
     if step.batch_every and (i + 1) % step.batch_every == 0:
         return serving_wire.request("batch", i, targets=list(step.types))
     if step.districts_every and (i + 1) % step.districts_every == 0:
@@ -1142,6 +1099,82 @@ def _build_query(step: QueryLoad, i: int, state: dict) -> dict:
     if step.scope_districts:
         message["scope"] = {"districts": list(step.scope_districts)}
     return message
+
+
+class _QueryClient:
+    """One open-loop serving client: its socket, in-flight requests and
+    send chain.
+
+    The send chain reschedules the bound method :meth:`fire`.  Unlike a
+    closure that reschedules itself through its own cell, that forms no
+    cycle which only the garbage collector can free.
+    """
+
+    __slots__ = (
+        "net", "step", "node", "target", "times", "stats",
+        "sock", "inflight", "last_url", "next_index",
+    )
+
+    def __init__(self, net, step: QueryLoad, node, target, times, stats: dict):
+        self.net = net
+        self.step = step
+        self.node = node
+        self.target = target
+        self.times = times
+        self.stats = stats
+        self.sock = node.udp.socket()
+        #: rid -> virtual send time of every request without a reply yet.
+        self.inflight: dict[int, int] = {}
+        self.last_url: Optional[str] = None
+        self.next_index = 0
+
+    def fire(self) -> None:
+        """Send the next query of the schedule and arm the one after it."""
+        i = self.next_index
+        stats = self.stats
+        message = _build_query(self.step, i, self.last_url)
+        self.inflight[i] = self.node.now_us
+        stats["sent"] += 1
+        kind = message["kind"]
+        if kind == "batch":
+            stats["batch_sent"] += 1
+        elif kind == "districts":
+            stats["districts_sent"] += 1
+        elif kind == "url":
+            stats["url_sent"] += 1
+        self.sock.sendto(serving_wire.encode(message), self.target)
+        times = self.times
+        if i + 1 < len(times):
+            self.next_index = i + 1
+            self.node.schedule(times[i + 1] - times[i], self.fire)
+
+    def on_response(self, datagram) -> None:
+        stats = self.stats
+        reply = serving_wire.decode(datagram.payload)
+        if reply is None or reply.get("kind") != "resp":
+            stats["decode_errors"] += 1
+            return
+        sent_at = self.inflight.pop(reply.get("rid"), None)
+        stats["responses"] += 1
+        if reply.get("status") == "ok":
+            stats["hits"] += 1
+            records = reply.get("records") or []
+            if records:
+                self.last_url = records[0].get("u")
+        else:
+            stats["misses"] += 1
+        if reply.get("stale"):
+            stats["stale"] += 1
+        stamp = int(reply.get("staleness_us", 0))
+        if stamp > stats["staleness_max_us"]:
+            stats["staleness_max_us"] = stamp
+        obs = self.net.obs
+        if sent_at is not None and obs.on:
+            latency = self.node.now_us - sent_at
+            note_row_latency(stats, latency)
+            obs.metrics.histogram(
+                "serving.query.latency_us", group=self.step.group
+            ).observe(latency)
 
 
 def _make_typed_device(node, type_name: str, costs, seed: int, advertise: bool,

@@ -111,11 +111,64 @@ class TestMonitor:
         raws = []
         monitor.on_raw = lambda sdp, raw, meta: raws.append(raw)
         own = host.udp.socket().bind(50001)
-        monitor.ignore_endpoint(host.address, 50001)
+        own.owner = monitor
         own.sendto(b"self", Endpoint("239.255.255.250", 1900))
         other.udp.socket().bind(50002).sendto(b"other", Endpoint("239.255.255.250", 1900))
         net.run()
         assert raws == [b"other"]
+
+    def test_state_constant_across_translations(self, net):
+        from repro.core import Indiss, IndissConfig
+        from repro.sdp.slp import UserAgent
+        from repro.sdp.upnp import make_clock_device
+
+        client, service = net.add_node("client"), net.add_node("service")
+        ua = UserAgent(client)
+        make_clock_device(service)
+        indiss = Indiss(service, IndissConfig(units=("slp", "upnp"), deployment="service"))
+        searches = []
+
+        def translate(rounds):
+            for _ in range(rounds):
+                ua.find_services("service:clock", on_complete=searches.append,
+                                 wait_us=400_000)
+                net.run(duration_us=1_000_000)
+            monitor = indiss.monitor
+            return {
+                name: len(value) for name, value in vars(monitor).items()
+                if isinstance(value, (dict, list, set, tuple))
+            }, sum(s.messages for s in monitor.sightings.values())
+
+        state, seen = translate(2)
+        sent = indiss.units["slp"].runtime.messages_sent
+        later, seen_later = translate(8)
+        assert len(searches) == 10 and all(s.results for s in searches)
+        assert indiss.units["slp"].runtime.messages_sent >= sent + 8
+        assert seen_later > seen
+        assert later == state
+
+    def test_foreign_socket_on_a_reused_port_is_monitored(self):
+        from repro.core.unit import UnitRuntime
+
+        net = Network(latency=LatencyModel(jitter_us=0), capture=True)
+        host = net.add_node("indiss")
+        monitor = MonitorComponent(host)
+        raws = []
+        monitor.on_raw = lambda sdp, raw, meta: raws.append(raw)
+        group = Endpoint("239.255.255.253", 427)
+        UnitRuntime(host, owner=monitor).send_udp_from_new_socket(b"own", group)
+        net.run()
+        (port,) = {r.source.port for r in net.trace if r.payload == b"own"}
+        # Walk the ephemeral range all the way round to the freed port.
+        stack = host.udp
+        before = port - 1 if port > stack.EPHEMERAL_BASE else 65535
+        while stack.ephemeral_port() != before:
+            pass
+        foreign = host.udp.socket()
+        foreign.sendto(b"foreign", group)
+        net.run()
+        assert foreign.port == port
+        assert raws == [b"foreign"]
 
     def test_scan_subset(self, net):
         host, sender = net.add_node("indiss"), net.add_node("c")

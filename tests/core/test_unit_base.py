@@ -123,15 +123,20 @@ class TestListeners:
 
 
 class TestUnitRuntime:
-    def test_send_udp_registers_own_port(self):
+    def test_sent_frames_carry_the_owner_tag(self):
         net = Network(latency=LatencyModel(jitter_us=0))
         node = net.add_node("h")
-        registered = []
-        runtime = UnitRuntime(node, register_own_port=lambda h, p: registered.append((h, p)))
+        tag = object()
+        runtime = UnitRuntime(node, owner=tag)
         peer = net.add_node("peer")
-        peer.udp.socket().bind(5000)
+        inbox = peer.udp.socket().bind(5000)
         runtime.send_udp(b"x", Endpoint(peer.address, 5000))
-        assert registered and registered[0][0] == node.address
+        runtime.send_udp_from_new_socket(b"y", Endpoint(peer.address, 5000))
+        node.udp.socket().sendto(b"z", Endpoint(peer.address, 5000))
+        net.run()
+        assert [(d.payload, d.owner) for d in inbox.inbox] == [
+            (b"x", tag), (b"y", tag), (b"z", None)
+        ]
 
     def test_datagram_handler_receives_replies(self):
         net = Network(latency=LatencyModel(jitter_us=0))

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from repro.net.addressing import (
     AddressAllocator,
+    KIND_BROADCAST,
+    KIND_LOOPBACK,
+    KIND_MULTICAST,
+    KIND_UNICAST,
     Endpoint,
-    is_broadcast,
+    destination_kind,
     is_loopback,
     is_multicast,
     is_valid_ipv4,
@@ -51,8 +55,23 @@ class TestClassification:
         assert not is_loopback("128.0.0.1")
 
     def test_broadcast(self):
-        assert is_broadcast("255.255.255.255")
-        assert not is_broadcast("255.255.255.0")
+        assert destination_kind("255.255.255.255") == KIND_BROADCAST
+        assert destination_kind("255.255.255.0") == KIND_UNICAST
+
+    @given(st.tuples(*[st.integers(0, 255)] * 4))
+    def test_destination_kind_agrees_with_the_predicates(self, octets):
+        address = ".".join(map(str, octets))
+        expected = (
+            KIND_MULTICAST if is_multicast(address)
+            else KIND_BROADCAST if address == "255.255.255.255"
+            else KIND_LOOPBACK if is_loopback(address)
+            else KIND_UNICAST
+        )
+        assert destination_kind(address) == expected
+
+    def test_destination_kind_rejects_malformed_addresses(self):
+        with pytest.raises(AddressError):
+            destination_kind("1.2.3")
 
 
 class TestPort:

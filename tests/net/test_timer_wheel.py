@@ -336,3 +336,79 @@ def test_seeded_random_ops_match_heap_oracle():
     oracle_run_until(max((t for t, _ in oracle.values()), default=now))
     assert fired == oracle_fired
     assert sched.pending == 0
+
+
+def _step_until(sched, time_us):
+    """``run_until`` spelled as the plain peek-and-step loop."""
+    while True:
+        head = sched._peek_time()
+        if head is None or head > time_us:
+            break
+        sched.step()
+    if sched.now_us < time_us:
+        sched._now_us = time_us
+
+
+def _callback_storm(sched, seed, run):
+    """Drive ``sched`` through ``run(sched, t)`` windows while callbacks
+    post same-instant events, schedule into every wheel level (far-wheel
+    refills and overflow pours) and cancel pending handles in bursts big
+    enough to compact the wheel mid-run.  Returns what the run observed."""
+    import random
+
+    rng = random.Random(seed)
+    handles = []
+    budget = [3_000]
+    order = []
+
+    def spawn(tag):
+        def fire():
+            order.append((tag, sched.now_us, sched.events_fired, sched.pending))
+            if budget[0] <= 0:
+                return
+            roll = rng.random()
+            if roll < 0.35:
+                budget[0] -= 1
+                sched.post(0, spawn(tag + 1), label="same-instant")
+            if roll < 0.8:
+                budget[0] -= 1
+                delay = rng.choice((1, 700, 90_000, 300_000, 5_000_000, 80_000_000))
+                handles.append(sched.schedule(delay, spawn(tag + 2), label="spread"))
+            if roll > 0.9:
+                for handle in handles[-rng.randrange(1, 120):]:
+                    handle.cancel()
+                for _ in range(rng.randrange(0, 80)):
+                    budget[0] -= 1
+                    handles.append(
+                        sched.schedule(rng.randrange(1, 2_000_000), spawn(tag + 3))
+                    )
+        return fire
+
+    for i in range(200):
+        handles.append(
+            sched.schedule(rng.randrange(0, 100_000_000), spawn(i), label="seed")
+        )
+    for _ in range(60):
+        handles[rng.randrange(len(handles))].cancel()
+    now = 0
+    while sched.pending:
+        now += rng.randrange(1, 20_000_000)
+        run(sched, now)
+    return order
+
+
+def test_run_until_matches_a_plain_step_loop():
+    results = []
+    for run in (Scheduler.run_until, _step_until):
+        sched = Scheduler()
+        sched.fire_log = []
+        order = _callback_storm(sched, 2024, run)
+        results.append(
+            (sched.fire_log, order, sched.events_fired, sched.pending, sched.now_us,
+             sched.compactions)
+        )
+    (log, order, fired, pending, now, compactions), reference = results
+    assert len(log) > 500 and compactions > 0
+    assert any(label == "same-instant" for label, _, _ in log)
+    assert max(t for _, t, _ in log) > 67_108_864  # past the far wheel
+    assert results[0] == reference

@@ -8,6 +8,7 @@ cycles for the garbage collector.
 """
 
 import gc
+import types
 
 import pytest
 
@@ -62,8 +63,10 @@ def test_retained_state_does_not_grow_with_run_length(name, run_us):
         assert max(retained["ring"]) == RECENT_SESSIONS
 
 
-def test_searches_leave_no_cyclic_garbage_in_the_sdp_stacks():
-    world = World.build(small_spec("metro_backbone"), seed=1)
+def _cyclic_garbage(world, package: str) -> list:
+    """Run the world's workload with the collector off, then name every
+    object defined in ``package`` (instances by their class, functions by
+    their own module) that only the collector could free."""
     gc.collect()
     was_enabled = gc.isenabled()
     debug = gc.get_debug()
@@ -72,17 +75,32 @@ def test_searches_leave_no_cyclic_garbage_in_the_sdp_stacks():
         world.run_workload()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        leaked = sorted(
-            {
-                f"{type(obj).__module__}.{type(obj).__qualname__}"
-                for obj in gc.garbage
-                if type(obj).__module__.startswith("repro.sdp")
-            }
-        )
+        leaked = set()
+        for obj in gc.garbage:
+            if isinstance(obj, types.FunctionType):
+                module, name = obj.__module__ or "", obj.__qualname__
+            else:
+                module, name = type(obj).__module__, type(obj).__qualname__
+            if module.startswith(package):
+                leaked.add(f"{module}.{name}")
     finally:
         gc.garbage.clear()
         gc.set_debug(debug)
         if was_enabled:
             gc.enable()
+    return sorted(leaked)
+
+
+def test_searches_leave_no_cyclic_garbage_in_the_sdp_stacks():
+    world = World.build(small_spec("metro_backbone"), seed=1)
+    leaked = _cyclic_garbage(world, "repro.sdp")
     assert world.collect("chatter")["chatter_searches_completed"] > 0
+    assert leaked == []
+
+
+def test_query_clients_leave_no_cyclic_garbage():
+    world = World.build(small_spec("serving_backbone"), seed=1)
+    leaked = _cyclic_garbage(world, "repro.world")
+    rows = [row for group in world.load_groups.values() for row in group]
+    assert rows and all(row["sent"] == row["responses"] > 0 for row in rows)
     assert leaked == []
